@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     std::cout << "[simulate] CONGEST algorithm ran " << rep.rounds
               << " rounds at B = " << rep.bits_per_edge << " bits/edge\n";
     std::cout << "[blackboard] " << rep.blackboard_entries
-              << " cut messages posted, " << rep.blackboard_bits
+              << " cut messages charged, " << rep.blackboard_bits
               << " bits total (Theorem-5 budget: " << rep.theorem5_budget
               << ", within budget: " << (rep.accounting_ok ? "yes" : "NO")
               << ")\n";

@@ -11,15 +11,13 @@ Blackboard::Blackboard(std::size_t num_players)
   CLB_EXPECT(num_players >= 2, "a blackboard needs at least two players");
 }
 
-void Blackboard::post(std::size_t player, std::vector<std::byte> data,
-                      std::size_t bits, std::string tag) {
+void Blackboard::charge(std::size_t player, std::size_t bits) {
   CLB_EXPECT(player < num_players(), "blackboard: player index out of range");
-  CLB_EXPECT(bits <= 8 * data.size(), "blackboard: declared bits exceed payload");
   CLB_EXPECT(bits > 0, "blackboard: empty writes are not charged, don't post them");
   bits_by_player_[player] += bits;
   total_bits_ += bits;
   if (tracer_) {
-    tracer_->emit({bits, static_cast<std::uint32_t>(entries_.size()),
+    tracer_->emit({bits, static_cast<std::uint32_t>(num_posts_),
                    static_cast<std::uint32_t>(player),
                    obs::TraceEvent::kNone, obs::EventKind::kBlackboardPost});
   }
@@ -27,6 +25,13 @@ void Blackboard::post(std::size_t player, std::vector<std::byte> data,
     posts_metric_->add(1);
     bits_metric_->add(bits);
   }
+  ++num_posts_;
+}
+
+void Blackboard::post(std::size_t player, std::vector<std::byte> data,
+                      std::size_t bits, std::string tag) {
+  CLB_EXPECT(bits <= 8 * data.size(), "blackboard: declared bits exceed payload");
+  charge(player, bits);
   entries_.push_back(BoardEntry{player, std::move(data), bits, std::move(tag)});
 }
 

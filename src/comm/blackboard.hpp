@@ -4,8 +4,13 @@
 // visible to everyone. The cost of a protocol is the total number of bits
 // written. Blackboard is the single accounting point for both the reference
 // disjointness protocols (comm/protocols.hpp) and the CONGEST simulation
-// argument of Theorem 5 (sim/reduction.hpp): whenever a simulated CONGEST
-// message crosses between two players' node sets, its bits land here.
+// argument of Theorem 5 (sim/reduction.hpp).
+//
+// Two ways to write: post() charges the bits and keeps the content in the
+// transcript, which the reference protocols read back; charge() only counts
+// (bits, per-player bits, posts), which is all the proof of Theorem 5 uses.
+// The reduction charges every cut-crossing message, so its runs leave the
+// transcript empty; per-post detail is what the opt-in tracer is for.
 
 #pragma once
 
@@ -37,7 +42,13 @@ class Blackboard {
 
   std::size_t num_players() const { return bits_by_player_.size(); }
 
-  /// Append raw bytes with an explicit bit cost (bits <= 8 * data.size()).
+  /// Charge `bits` (> 0) to `player` without storing any content: totals,
+  /// num_posts() and the attached tracer/metrics move exactly as for a
+  /// post(); transcript() does not.
+  void charge(std::size_t player, std::size_t bits);
+
+  /// Charge, then append raw bytes to the transcript (bits <= 8 *
+  /// data.size()).
   void post(std::size_t player, std::vector<std::byte> data, std::size_t bits,
             std::string tag = {});
 
@@ -55,12 +66,15 @@ class Blackboard {
   /// Decode an entry previously written by post_bits.
   static std::vector<std::uint8_t> read_bits(const BoardEntry& entry);
 
+  /// The post()ed entries only; charge()d bits leave no entry.
   const std::vector<BoardEntry>& transcript() const { return entries_; }
   std::size_t total_bits() const { return total_bits_; }
   std::size_t bits_by(std::size_t player) const;
+  /// Writes so far, post() and charge() alike.
+  std::size_t num_posts() const { return num_posts_; }
 
-  /// Mirror every post into a trace (kBlackboardPost, a = player, round =
-  /// entry index, value = charged bits) and/or a metrics registry
+  /// Mirror every write into a trace (kBlackboardPost, a = player, round =
+  /// post index, value = charged bits) and/or a metrics registry
   /// ("blackboard.posts" / "blackboard.bits" counters). Either pointer may
   /// be null; both are non-owning and must outlive the board.
   void attach_observability(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
@@ -69,6 +83,7 @@ class Blackboard {
   std::vector<BoardEntry> entries_;
   std::vector<std::size_t> bits_by_player_;
   std::size_t total_bits_ = 0;
+  std::size_t num_posts_ = 0;
   obs::Tracer* tracer_ = nullptr;
   obs::Counter* posts_metric_ = nullptr;
   obs::Counter* bits_metric_ = nullptr;

@@ -1,9 +1,10 @@
 #include "congest/algorithms/universal_maxis.hpp"
 
-#include <unordered_set>
+#include <algorithm>
 #include <vector>
 
 #include "support/expect.hpp"
+#include "support/flat_set.hpp"
 #include "support/math.hpp"
 
 namespace congestlb::congest {
@@ -11,13 +12,6 @@ namespace congestlb::congest {
 namespace {
 
 constexpr std::size_t kWeightBits = 32;
-
-struct Token {
-  bool is_edge = false;
-  std::uint64_t a = 0;  ///< node id / edge endpoint u
-  std::uint64_t b = 0;  ///< degree / edge endpoint v
-  std::uint64_t w = 0;  ///< weight (node tokens only)
-};
 
 class UniversalMaxIsProgram final : public NodeProgram {
  public:
@@ -35,23 +29,16 @@ class UniversalMaxIsProgram final : public NodeProgram {
     }
     try_finish(info);
 
-    // Forward one not-yet-sent token per neighbor.
+    // Forward one not-yet-sent token per neighbor, as its stored encoding.
     for (std::size_t s = 0; s < info.neighbors.size(); ++s) {
-      if (cursor_[s] >= tokens_.size()) continue;
-      const Token& tok = tokens_[cursor_[s]++];
-      MessageWriter w;
-      w.put(tok.is_edge ? 1 : 0, 1);
-      w.put(tok.a, id_bits_);
-      w.put(tok.b, id_bits_);
-      if (!tok.is_edge) w.put(tok.w, kWeightBits);
-      outbox.send(s, std::move(w).finish());
+      if (cursor_[s] < num_tokens()) outbox.send(s, wire(cursor_[s]++));
     }
   }
 
   bool finished() const override {
     if (!have_solution_) return false;
     for (std::size_t c : cursor_) {
-      if (c < tokens_.size()) return false;
+      if (c < num_tokens()) return false;
     }
     return true;
   }
@@ -69,10 +56,11 @@ class UniversalMaxIsProgram final : public NodeProgram {
     CLB_EXPECT(info.weight >= 0 &&
                    static_cast<std::uint64_t>(info.weight) < (1ULL << kWeightBits),
                "universal-maxis: weight does not fit token field");
+    stride_ = (1 + 2 * id_bits_ + kWeightBits + 7) / 8;
     cursor_.assign(info.neighbors.size(), 0);
     node_known_.assign(info.n, false);
-    degree_.assign(info.n, 0);
     weight_.assign(info.n, 0);
+    edge_known_ = FlatU64Set(std::uint64_t{info.n} * info.n);
     // Seed with own node token and incident edge tokens.
     add_node_token(info.id, info.neighbors.size(),
                    static_cast<std::uint64_t>(info.weight));
@@ -82,19 +70,40 @@ class UniversalMaxIsProgram final : public NodeProgram {
     }
   }
 
+  std::size_t num_tokens() const { return arena_.size() / stride_; }
+
+  /// Token i as a message: its stored bytes, copied into a reused buffer.
+  /// Bit 0 is the edge flag, which fixes the token's length.
+  const Message& wire(std::size_t i) {
+    const std::byte* p = arena_.data() + i * stride_;
+    const bool is_edge = (static_cast<unsigned>(p[0]) & 1u) != 0;
+    scratch_.bits = 1 + 2 * id_bits_ + (is_edge ? 0 : kWeightBits);
+    scratch_.data.assign(p, (scratch_.bits + 7) / 8);
+    return scratch_;
+  }
+
+  /// Encode a newly learned token once and append it to the arena.
+  void learn(bool is_edge, std::uint64_t a, std::uint64_t b, std::uint64_t w) {
+    MessageWriter wr;
+    wr.put(is_edge ? 1 : 0, 1).put(a, id_bits_).put(b, id_bits_);
+    if (!is_edge) wr.put(w, kWeightBits);
+    const Message m = std::move(wr).finish();
+    const std::size_t at = arena_.size();
+    arena_.resize(at + stride_);
+    std::copy(m.data.begin(), m.data.end(), arena_.begin() + at);
+  }
+
   void add_node_token(std::uint64_t id, std::uint64_t deg, std::uint64_t w) {
     if (node_known_[id]) return;
     node_known_[id] = true;
-    degree_[id] = deg;
+    degree_sum_ += deg;
     weight_[id] = w;
     ++num_nodes_known_;
-    tokens_.push_back(Token{false, id, deg, w});
+    learn(false, id, deg, w);
   }
 
   void add_edge_token(const NodeInfo& info, std::uint64_t u, std::uint64_t v) {
-    const std::uint64_t key = u * info.n + v;
-    if (!edge_known_.insert(key).second) return;
-    tokens_.push_back(Token{true, u, v, 0});
+    if (edge_known_.insert(u * info.n + v)) learn(true, u, v, 0);
   }
 
   void ingest(const NodeInfo& info, const Message& msg) {
@@ -111,40 +120,43 @@ class UniversalMaxIsProgram final : public NodeProgram {
   }
 
   void try_finish(const NodeInfo& info) {
-    if (have_solution_ || num_nodes_known_ < info.n) return;
-    std::uint64_t deg_sum = 0;
-    for (std::uint64_t d : degree_) deg_sum += d;
-    if (edge_known_.size() * 2 != deg_sum) return;
-    // Reconstruct and solve.
+    if (have_solution_ || num_nodes_known_ < info.n ||
+        edge_known_.size() * 2 != degree_sum_) {
+      return;
+    }
+    // Reconstruct (decoding the edge tokens once) and solve.
     graph::Graph g(info.n);
     for (NodeId v = 0; v < info.n; ++v) {
       g.set_weight(v, static_cast<graph::Weight>(weight_[v]));
     }
-    for (const Token& tok : tokens_) {
-      if (tok.is_edge) g.add_edge(tok.a, tok.b);
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    edges.reserve(edge_known_.size());
+    for (std::size_t i = 0; i < num_tokens(); ++i) {
+      MessageReader r(wire(i));
+      if (r.get(1) == 0) continue;
+      const auto u = static_cast<NodeId>(r.get(id_bits_));
+      edges.emplace_back(u, static_cast<NodeId>(r.get(id_bits_)));
     }
+    g.add_edges(edges);
     const auto solution = solver_(g);
     CLB_EXPECT(g.is_independent_set(solution),
                "universal-maxis: solver returned a non-independent set");
-    in_set_ = false;
-    for (NodeId v : solution) {
-      if (v == info.id) {
-        in_set_ = true;
-        break;
-      }
-    }
+    in_set_ = std::find(solution.begin(), solution.end(), info.id) !=
+              solution.end();
     have_solution_ = true;
   }
 
   LocalMaxIsSolver solver_;
   bool initialized_ = false;
   std::size_t id_bits_ = 0;
-  std::vector<Token> tokens_;
+  std::size_t stride_ = 1;         ///< arena bytes per token (node-token size)
+  std::vector<std::byte> arena_;   ///< encoded tokens, stride_ bytes each
+  Message scratch_;                ///< wire() output buffer
   std::vector<std::size_t> cursor_;
   std::vector<bool> node_known_;
-  std::vector<std::uint64_t> degree_;
   std::vector<std::uint64_t> weight_;
-  std::unordered_set<std::uint64_t> edge_known_;
+  std::uint64_t degree_sum_ = 0;   ///< over the learned node tokens
+  FlatU64Set edge_known_;          ///< u*n+v keys of learned edge tokens
   std::size_t num_nodes_known_ = 0;
   bool have_solution_ = false;
   bool in_set_ = false;

@@ -175,7 +175,7 @@ void write_chrome_trace(std::ostream& os, std::span<const TraceEvent> events,
         jw.end_object();
         break;
       case EventKind::kBlackboardPost:
-        // `round` carries the transcript entry index for blackboard posts.
+        // `round` carries the post index (Blackboard::num_posts() before it).
         instant(jw, "post", base, 1, static_cast<std::uint64_t>(ev.a));
         jw.key("args");
         jw.begin_object();

@@ -61,7 +61,7 @@ enum class EventKind : std::uint8_t {
   kCrashScheduled,    ///< plan: node a will crash at round `round`
   kRecoverScheduled,  ///< plan: node a will recover at round `round`
   kPhase,             ///< algorithm/driver phase mark, value = phase id
-  kBlackboardPost,    ///< player a posts value bits; round = entry index
+  kBlackboardPost,    ///< player a posts value bits; round = post index
 };
 
 /// Stable name for an event kind ("deliver", "drop", ...).

@@ -42,20 +42,22 @@ ReductionReport run_reduction(
   rep.no_bound = no_bound;
   rep.ground_truth_disjoint = inst.answer_is_disjoint();
 
-  // The simulation argument: cut-crossing messages go on the blackboard,
-  // charged to the owner of the sending node. Under fault injection the
-  // observer fires per *delivery*, so the board sees corrupted payloads as
-  // corrupted, echoes twice, and dropped messages never.
+  // The simulation argument: the bits of every cut-crossing message are
+  // charged to the blackboard, to the owner of the sending node; Theorem 5
+  // needs their count, not their content. Under fault injection the
+  // observer fires per *delivery*, so echoes are charged twice and dropped
+  // messages never.
+  // Owners looked up once per node, not once per delivery.
+  std::vector<std::size_t> owner_of(gx.num_nodes());
+  for (graph::NodeId v = 0; v < gx.num_nodes(); ++v) owner_of[v] = owner(v);
   std::uint64_t observed_cut_bits = 0;
-  cfg.on_message = [&board, &rep, &observed_cut_bits, owner](
+  cfg.on_message = [&board, &rep, &observed_cut_bits, &owner_of](
                        std::size_t round, graph::NodeId from,
                        graph::NodeId to, const congest::Message& msg) {
-    const std::size_t po = owner(from);
-    const std::size_t pd = owner(to);
+    const std::size_t po = owner_of[from];
+    const std::size_t pd = owner_of[to];
     if (po == pd) return;  // internal to one player: simulated for free
-    board.post(po, std::vector<std::byte>(msg.data.begin(), msg.data.end()),
-               msg.bits,
-               "msg " + std::to_string(from) + "->" + std::to_string(to));
+    board.charge(po, msg.bits);
     observed_cut_bits += msg.bits;
     if (rep.cut_bits_per_round.size() <= round) {
       rep.cut_bits_per_round.resize(round + 1, 0);
@@ -82,14 +84,14 @@ ReductionReport run_reduction(
   rep.net_stats = stats;
   rep.failure_diagnostics = net.failure_diagnostics();
   rep.blackboard_bits = board.total_bits();
-  rep.blackboard_entries = board.transcript().size();
+  rep.blackboard_entries = board.num_posts();
   // Each undirected cut edge carries up to one message per *direction* per
   // round, so the per-round budget is 2 * |cut| * B — the factor the
   // paper's O(log n) absorbs.
   rep.theorem5_budget = static_cast<std::uint64_t>(rep.rounds) * 2 *
                         rep.cut_edges * rep.bits_per_edge;
   rep.accounting_ok = rep.blackboard_bits <= rep.theorem5_budget;
-  // Exactness: what the observer posted must equal what the network
+  // Exactness: what the observer charged must equal what the network
   // charged to the cut edges — the invariant faults must not bend.
   std::uint64_t charged_cut_bits = 0;
   for (auto [u, v] : cut) charged_cut_bits += net.bits_on_edge(u, v);

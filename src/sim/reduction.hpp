@@ -3,15 +3,16 @@
 //
 // The driver instantiates a lower-bound construction on a promise instance,
 // runs any CONGEST NodeProgram on the resulting network, and — exactly as
-// the simulation argument prescribes — posts every message that crosses
-// between two players' node sets V^i, V^j to a comm::Blackboard, charged to
-// the sending owner. When the algorithm terminates, the players read the
-// computed independent set's weight off the gap predicate to answer promise
-// pairwise disjointness.
+// the simulation argument prescribes — charges the bits of every message
+// that crosses between two players' node sets V^i, V^j to a
+// comm::Blackboard, to the sending owner (Blackboard::charge: counts only,
+// the board's transcript() stays empty). When the algorithm terminates, the
+// players read the computed independent set's weight off the gap predicate
+// to answer promise pairwise disjointness.
 //
 // The report checks the facts Theorem 5 rests on:
 //   1. accounting: blackboard bits <= rounds * |cut| * bits_per_edge;
-//   2. exactness: the bits posted to the blackboard equal the bits the
+//   2. exactness: the bits charged to the blackboard equal the bits the
 //      network accounted on the cut edges — delivered traffic, nothing
 //      more, nothing less. This holds under fault injection too
 //      (NetworkConfig::faults): dropped messages are charged nowhere,
@@ -41,8 +42,8 @@ struct ReductionReport {
   std::size_t bits_per_edge = 0;
   std::size_t cut_edges = 0;
 
-  std::uint64_t blackboard_bits = 0;   ///< bits posted for cut messages
-  std::uint64_t blackboard_entries = 0;
+  std::uint64_t blackboard_bits = 0;   ///< bits charged for cut messages
+  std::uint64_t blackboard_entries = 0;  ///< board.num_posts() after the run
   /// Cut traffic per round (index = round as reported at delivery time);
   /// the raw series behind the Theorem-5 accounting.
   std::vector<std::uint64_t> cut_bits_per_round;
@@ -58,7 +59,7 @@ struct ReductionReport {
   bool ground_truth_disjoint = false;  ///< f(xbar)
   bool correct = false;
   bool accounting_ok = false;          ///< blackboard_bits <= budget
-  /// Bits posted to the blackboard == bits the network charged to the cut
+  /// Bits charged to the blackboard == bits the network charged to the cut
   /// edges. The invariant that keeps Theorem-5 charging honest under
   /// faults.
   bool cut_accounting_exact = false;

@@ -8,6 +8,8 @@
 #include "comm/instances.hpp"
 #include "comm/lower_bound.hpp"
 #include "comm/protocols.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "support/expect.hpp"
 #include "support/rng.hpp"
 
@@ -55,6 +57,64 @@ TEST(Blackboard, RejectsBadWrites) {
   EXPECT_THROW(b.post_bits(0, {1, 2}), InvariantError);     // non-binary
   EXPECT_THROW(b.post_bits(0, {}), InvariantError);         // empty
   EXPECT_THROW(b.bits_by(7), InvariantError);
+}
+
+TEST(Blackboard, ChargeCountsWithoutStoring) {
+  Blackboard b(3);
+  b.charge(2, 7);
+  b.charge(0, 64);
+  b.charge(2, 1);
+  EXPECT_EQ(b.total_bits(), 72u);
+  EXPECT_EQ(b.bits_by(0), 64u);
+  EXPECT_EQ(b.bits_by(1), 0u);
+  EXPECT_EQ(b.bits_by(2), 8u);
+  EXPECT_EQ(b.num_posts(), 3u);
+  EXPECT_TRUE(b.transcript().empty());
+  b.post_uint(1, 3, 2);
+  EXPECT_EQ(b.num_posts(), 4u);
+  EXPECT_EQ(b.total_bits(), 74u);
+  ASSERT_EQ(b.transcript().size(), 1u);
+  EXPECT_EQ(Blackboard::read_uint(b.transcript()[0]), 3u);
+}
+
+TEST(Blackboard, MixedPostAndChargeKeepTracerPostIndicesConsecutive) {
+  if (!obs::trace_compiled_in()) GTEST_SKIP() << "tracer compiled out";
+  obs::Tracer tracer({.capacity = 64});
+  Blackboard b(2);
+  b.attach_observability(&tracer, nullptr);
+  b.post_uint(0, 1, 3);
+  b.charge(1, 9);
+  b.charge(0, 4);
+  b.post_bits(1, {1, 0, 1});
+  const auto events = tracer.events();
+  ASSERT_EQ(events.size(), 4u);
+  const std::uint64_t bits[] = {3, 9, 4, 3};
+  const std::uint32_t players[] = {0, 1, 0, 1};
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(events[i].kind, obs::EventKind::kBlackboardPost);
+    EXPECT_EQ(events[i].round, i);
+    EXPECT_EQ(events[i].a, players[i]);
+    EXPECT_EQ(events[i].value, bits[i]);
+  }
+}
+
+TEST(Blackboard, ChargeFeedsMetrics) {
+  obs::MetricsRegistry metrics;
+  Blackboard b(2);
+  b.attach_observability(nullptr, &metrics);
+  b.charge(0, 10);
+  b.charge(1, 5);
+  b.post_uint(1, 2, 2);
+  EXPECT_EQ(metrics.counter("blackboard.posts").value(), 3u);
+  EXPECT_EQ(metrics.counter("blackboard.bits").value(), 17u);
+}
+
+TEST(Blackboard, ChargeRejectsBadWrites) {
+  Blackboard b(2);
+  EXPECT_THROW(b.charge(0, 0), InvariantError);  // empty write
+  EXPECT_THROW(b.charge(2, 1), InvariantError);  // player range
+  EXPECT_EQ(b.total_bits(), 0u);
+  EXPECT_EQ(b.num_posts(), 0u);
 }
 
 TEST(Blackboard, NeedsTwoPlayers) {

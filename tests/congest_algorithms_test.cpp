@@ -3,13 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "congest/algorithms/greedy_mis.hpp"
 #include "congest/algorithms/luby_mis.hpp"
 #include "congest/algorithms/universal_maxis.hpp"
 #include "congest/algorithms/weighted_greedy.hpp"
 #include "congest/network.hpp"
+#include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "maxis/branch_and_bound.hpp"
+#include "maxis/greedy.hpp"
 #include "support/expect.hpp"
 #include "support/rng.hpp"
 
@@ -222,6 +227,49 @@ TEST(Universal, RoundsScaleWithGraphSize) {
   ASSERT_TRUE(stats.all_finished);
   EXPECT_GE(stats.rounds, g.num_nodes() / 4);  // genuinely global work
   EXPECT_LE(stats.rounds, 4 * (g.num_edges() + g.num_nodes()));
+}
+
+TEST(Universal, SparseAndDenseGraphsAgreeAcrossThreadCounts) {
+  // Beyond the gadgets: a 200-node cycle (m = n) and a dense gnp graph.
+  // Every node reconstructs the graph from gossiped tokens and runs the
+  // same deterministic solver, so the network's answer is the solver's
+  // answer on the original graph iff the reconstruction was exact; and
+  // outputs and RunStats must not depend on the thread count.
+  Rng rng(31);
+  graph::Graph sparse = graph::cycle_graph(200);
+  for (graph::NodeId v = 0; v < sparse.num_nodes(); ++v) {
+    sparse.set_weight(v, static_cast<graph::Weight>(1 + rng.below(8)));
+  }
+  const graph::Graph dense = graph::gnp_random_connected(rng, 48, 0.5, 8);
+  for (const graph::Graph* g : {&std::as_const(sparse), &dense}) {
+    const auto greedy = [](const graph::Graph& h) {
+      return maxis::solve_greedy_max_weight(h).nodes;
+    };
+    auto expected = greedy(*g);
+    std::sort(expected.begin(), expected.end());
+    std::vector<std::int64_t> outputs1;
+    RunStats stats1;
+    for (std::size_t threads : {1, 2, 8}) {
+      NetworkConfig cfg;
+      cfg.bits_per_edge = universal_required_bits(g->num_nodes(), 8);
+      cfg.num_threads = threads;
+      Network net(*g, universal_maxis_factory(greedy), cfg);
+      const RunStats stats = net.run();
+      ASSERT_TRUE(stats.all_finished) << "threads " << threads;
+      EXPECT_EQ(net.selected_nodes(), expected) << "threads " << threads;
+      if (threads == 1) {
+        outputs1 = net.outputs();
+        stats1 = stats;
+        // Every node learns every node and edge token: n + m per node,
+        // sent once over each of the 2m directed edges.
+        EXPECT_EQ(stats.messages_sent,
+                  2 * g->num_edges() * (g->num_nodes() + g->num_edges()));
+      } else {
+        EXPECT_EQ(net.outputs(), outputs1) << "threads " << threads;
+        EXPECT_EQ(stats, stats1) << "threads " << threads;
+      }
+    }
+  }
 }
 
 TEST(Universal, RejectsTooSmallBandwidth) {

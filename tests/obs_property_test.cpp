@@ -371,9 +371,9 @@ TEST_F(ObsProperty, RingTruncationKeepsNewestAndCounts) {
 }
 
 TEST_F(ObsProperty, ReductionBlackboardMatchesTracedCutTraffic) {
-  // The Theorem-5 charge on real reductions: the bits posted to the
+  // The Theorem-5 charge on real reductions: the bits charged to the
   // blackboard must equal the traced delivered bits on player-crossing
-  // edges, and every kBlackboardPost must land in the trace.
+  // edges, and every charge must land in the trace as a kBlackboardPost.
   for (std::uint64_t seed : {7u, 11u, 23u}) {
     const auto p = lb::GadgetParams::for_linear_separation(2, 1);
     const lb::LinearConstruction c(p, 2);
@@ -414,7 +414,8 @@ TEST_F(ObsProperty, ReductionBlackboardMatchesTracedCutTraffic) {
     }
     EXPECT_EQ(cut_bits, rep.blackboard_bits) << "seed " << seed;
     EXPECT_EQ(posted_bits, board.total_bits()) << "seed " << seed;
-    EXPECT_EQ(posts, board.transcript().size()) << "seed " << seed;
+    EXPECT_EQ(posts, board.num_posts()) << "seed " << seed;
+    EXPECT_EQ(posts, rep.blackboard_entries) << "seed " << seed;
     EXPECT_TRUE(rep.cut_accounting_exact) << "seed " << seed;
   }
 }

@@ -7,6 +7,7 @@
 #include "congest/algorithms/universal_maxis.hpp"
 #include "congest/algorithms/weighted_greedy.hpp"
 #include "maxis/branch_and_bound.hpp"
+#include "obs/trace.hpp"
 #include "sim/reduction.hpp"
 #include "support/expect.hpp"
 #include "support/rng.hpp"
@@ -68,12 +69,36 @@ TEST(LinearReduction, BlackboardChargesOnlyCutTraffic) {
   // Cut traffic is a strict subset of total traffic (the copies talk
   // internally a lot).
   EXPECT_LT(rep.blackboard_bits, rep.total_bits);
-  // Every entry is tagged with a cut edge whose endpoints have different
-  // owners.
-  for (const auto& entry : board.transcript()) {
-    EXPECT_LT(entry.player, t);
-    EXPECT_NE(entry.tag.find("msg"), std::string::npos);
+  // The players' charges add up to the board total, and the reduction only
+  // counts: nothing is stored.
+  std::uint64_t by_players = 0;
+  for (std::size_t p = 0; p < t; ++p) by_players += board.bits_by(p);
+  EXPECT_EQ(by_players, rep.blackboard_bits);
+  EXPECT_EQ(rep.blackboard_entries, board.num_posts());
+  EXPECT_TRUE(board.transcript().empty());
+
+  // One post per cut delivery: replay the run traced and count deliveries
+  // whose endpoints have different owners.
+  if (!obs::trace_compiled_in()) return;
+  obs::Tracer tracer({.capacity = std::size_t{1} << 20});
+  auto cfg = universal_cfg(c.num_nodes(), static_cast<graph::Weight>(p.ell));
+  cfg.tracer = &tracer;
+  comm::Blackboard traced_board(t);
+  const auto traced = run_linear_reduction(
+      c, inst, congest::universal_maxis_factory(exact_solver()), traced_board,
+      cfg);
+  ASSERT_EQ(tracer.dropped(), 0u);
+  std::uint64_t cut_deliveries = 0;
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    const bool delivery = ev.kind == obs::EventKind::kDeliver ||
+                          ev.kind == obs::EventKind::kDeliverCorrupt ||
+                          ev.kind == obs::EventKind::kDeliverEcho;
+    if (delivery && c.owner(ev.a) != c.owner(ev.b)) ++cut_deliveries;
   }
+  EXPECT_GT(cut_deliveries, 0u);
+  EXPECT_EQ(traced_board.num_posts(), cut_deliveries);
+  EXPECT_EQ(board.num_posts(), cut_deliveries);
+  EXPECT_EQ(traced.blackboard_bits, rep.blackboard_bits);
 }
 
 TEST(LinearReduction, ApproximateAlgorithmStillAccountsCorrectly) {

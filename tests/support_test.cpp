@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "support/expect.hpp"
+#include "support/flat_set.hpp"
 #include "support/math.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -40,6 +41,62 @@ TEST(Expect, MessageContainsContext) {
 }
 
 // ------------------------------------------------------------------- rng --
+
+TEST(FlatU64Set, InsertReportsNewKeysOnly) {
+  FlatU64Set set;
+  EXPECT_EQ(set.memory_bytes(), 0u);
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_TRUE(set.insert(41));
+  EXPECT_FALSE(set.insert(0));
+  EXPECT_FALSE(set.insert(41));
+  EXPECT_TRUE(set.insert(~std::uint64_t{0} - 1));
+  EXPECT_EQ(set.size(), 3u);
+  EXPECT_THROW(set.insert(~std::uint64_t{0}), InvariantError);
+  // Survives many rehashes with every key still present exactly once.
+  for (std::uint64_t k = 1000; k < 6000; ++k) {
+    EXPECT_TRUE(set.insert(k * 7919));
+  }
+  for (std::uint64_t k = 1000; k < 6000; ++k) {
+    EXPECT_FALSE(set.insert(k * 7919));
+  }
+  EXPECT_EQ(set.size(), 5003u);
+}
+
+TEST(FlatU64Set, SparseKeysCostTheirCountNotTheUniverse) {
+  // The universal MaxIS program's edge keys u*n+v on a 2000-node cycle:
+  // a node stores the edges it knows, not an n^2-bit map.
+  const std::uint64_t n = 2000;
+  FlatU64Set set(n * n);
+  for (std::uint64_t u = 0; u < n; ++u) {
+    const std::uint64_t v = (u + 1) % n;
+    EXPECT_TRUE(set.insert(std::min(u, v) * n + std::max(u, v)));
+    EXPECT_LE(set.memory_bytes(), std::max<std::size_t>(128, 32 * set.size()));
+  }
+  EXPECT_EQ(set.size(), n);
+  EXPECT_LT(set.memory_bytes(), n * n / 8 / 10);
+  EXPECT_THROW(set.insert(n * n), InvariantError);
+}
+
+TEST(FlatU64Set, DenseKeysSwitchToABitsetNoLargerThanTheTable) {
+  // Every pair of a 64-node clique: the table would outgrow a 4096-bit
+  // bitset, so the set becomes that bitset and keeps answering exactly.
+  const std::uint64_t n = 64;
+  FlatU64Set set(n * n);
+  std::size_t peak = 0;
+  for (std::uint64_t u = 0; u < n; ++u) {
+    for (std::uint64_t v = u + 1; v < n; ++v) {
+      EXPECT_TRUE(set.insert(u * n + v));
+      EXPECT_FALSE(set.insert(u * n + v));
+      EXPECT_LE(set.memory_bytes(),
+                std::max<std::size_t>(128, 32 * set.size()));
+      peak = std::max(peak, set.memory_bytes());
+    }
+  }
+  EXPECT_EQ(set.size(), n * (n - 1) / 2);
+  EXPECT_LE(peak, n * n / 8);
+  EXPECT_FALSE(set.insert(0 * n + 1));
+  EXPECT_TRUE(set.insert(5 * n + 5));  // a key no pair produced
+}
 
 TEST(Rng, DeterministicFromSeed) {
   Rng a(123), b(123), c(124);
