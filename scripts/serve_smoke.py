@@ -19,6 +19,8 @@ service promises: an accepted sweep survives losing the server.
   5. Poll /v1/sweeps/<key> until complete, fetch /v1/sweeps/<key>/manifest,
      and require it byte-equal to the reference manifest.
   6. SIGTERM the server and require a graceful exit 0 (drain contract).
+  7. Require that no `*.tmp` or `*.intent` file (atomic-write debris) is
+     left anywhere under the state dir.
 
 Server stdout/stderr land in --workdir (serve1.log / serve2.log) so CI can
 upload them on failure.
@@ -231,6 +233,15 @@ def main():
             return fail("server did not drain after SIGTERM")
         if rc != 0:
             return fail(f"drained server exited {rc}, expected 0")
+
+        # 7. Every file the server wrote went through the atomic-file
+        # protocol; once it has exited, none of its debris may remain.
+        debris = sorted(
+            os.path.relpath(os.path.join(root, name), state_dir)
+            for root, _, names in os.walk(state_dir) for name in names
+            if name.endswith((".tmp", ".intent")))
+        if debris:
+            return fail(f"write debris left in the state dir: {debris}")
     finally:
         if server.poll() is None:
             server.kill()
@@ -238,7 +249,7 @@ def main():
         server.log.close()
 
     print("serve-smoke: PASS (kill -9 mid-run, restart, byte-equal resume, "
-          "graceful drain)")
+          "graceful drain, no write debris)")
     return 0
 
 

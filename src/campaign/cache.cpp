@@ -1,9 +1,10 @@
 #include "campaign/cache.hpp"
 
+#include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
+#include "support/atomic_file.hpp"
 #include "support/expect.hpp"
 #include "support/hash.hpp"
 
@@ -44,15 +45,12 @@ std::string header_line(std::string_view kind, std::string_view hex16,
 std::optional<std::string> read_slot(const std::string& path,
                                      std::string_view kind,
                                      std::string_view hex16) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string header;
-  std::getline(in, header);
-  std::ostringstream body;
-  body << in.rdbuf();
-  if (in.bad()) return std::nullopt;
-  std::string payload = body.str();
-  if (header != header_line(kind, hex16, payload)) return std::nullopt;
+  auto text = read_file(path);
+  if (!text) return std::nullopt;
+  const std::size_t eol = std::min(text->find('\n'), text->size());
+  std::string payload = text->substr(std::min(eol + 1, text->size()));
+  text->resize(eol);
+  if (*text != header_line(kind, hex16, payload)) return std::nullopt;
   return payload;
 }
 
@@ -120,35 +118,10 @@ void ContentCache::store(std::string_view kind, std::uint64_t key,
   std::error_code ec;
   fs::create_directories(dir_ + "/" + std::string(kind), ec);
   if (ec) return;  // disk tier is best-effort; the memory tier still holds it
-  const std::string path = slot_path(kind, key);
-  const std::string intent = path + std::string(kIntentSuffix);
-  const std::string tmp =
-      path + std::string(kTmpInfix) + hex_key(key);
-  // Write-ahead intent: created before the mutation starts, removed only
-  // after the rename lands. A crash in between leaves the intent behind,
-  // telling fsck "whatever tmp/slot state you find here is mid-write".
-  {
-    std::ofstream mark(intent, std::ios::binary | std::ios::trunc);
-    if (!mark) return;
-    mark << kind << "/" << hex_key(key) << "\n";
-  }
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      fs::remove(intent, ec);
-      return;
-    }
-    out << header_line(kind, hex_key(key), payload) << "\n" << payload;
-    if (!out.good()) {
-      out.close();
-      fs::remove(tmp, ec);
-      fs::remove(intent, ec);
-      return;
-    }
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) fs::remove(tmp, ec);
-  fs::remove(intent, ec);
+  std::string bytes = header_line(kind, hex_key(key), payload);
+  bytes += '\n';
+  bytes += payload;
+  write_file_atomic(slot_path(kind, key), bytes);
 }
 
 CacheStats ContentCache::stats() const {

@@ -10,8 +10,9 @@
 //
 // Two tiers: an in-process map (hits are free) backed by an optional
 // on-disk store under a cache directory (default `.clb-cache/`). Disk slots
-// are one file per artifact, `<dir>/<kind>/<hex16>.clbc`, written via a
-// temp-file rename so a killed campaign never leaves a torn slot, and
+// are one file per artifact, `<dir>/<kind>/<hex16>.clbc`, written by the
+// repo's one atomic-file protocol (support/atomic_file.hpp: intent marker,
+// temp file, rename) so a killed campaign never leaves a torn slot, and
 // prefixed with a header line that is verified on load — a corrupt or
 // foreign file demotes to a miss instead of poisoning the run. The header
 // carries the payload's byte count and FNV-1a digest, so *any* torn slot
@@ -20,14 +21,12 @@
 // truncated integer payload like "123" -> "12" would round-trip as a valid
 // but wrong artifact.
 //
-// Crash-recovery audit (docs/ROBUSTNESS.md): every disk mutation is
-// bracketed by a write-ahead intent marker (`<slot>.intent`) created before
-// the temp file and removed after the rename. A crash can therefore leave
-// only states `clb campaign fsck` can classify: a dangling intent (crash
-// mid-write; the tmp and intent are garbage), an orphaned tmp (pre-intent
-// era or interrupted cleanup), or a torn slot (fails header/digest
-// verification). All three demote to a miss at load time; fsck --repair
-// deletes them so the directory returns to exactly the valid-slots state.
+// Crash-recovery audit (docs/ROBUSTNESS.md): a crash can leave only states
+// `clb campaign fsck` can classify: a dangling intent (crash mid-write; the
+// tmp and intent are garbage), an orphaned tmp (interrupted cleanup), or a
+// torn slot (fails header/digest verification). All three demote to a miss
+// at load time; fsck --repair deletes them so the directory returns to
+// exactly the valid-slots state.
 //
 // The cache is shared by concurrent scheduler workers; all operations take
 // one internal mutex. That is deliberate cheapness: campaign jobs are
@@ -89,10 +88,8 @@ class ContentCache {
   static bool valid_slot_file(const std::string& path, std::string_view kind,
                               std::string_view hex16);
 
-  /// Filename suffixes of the on-disk protocol, shared with fsck.
+  /// Filename suffix of a slot, shared with fsck.
   static constexpr std::string_view kSlotSuffix = ".clbc";
-  static constexpr std::string_view kIntentSuffix = ".intent";
-  static constexpr std::string_view kTmpInfix = ".tmp.";
 
  private:
   std::string slot_path(std::string_view kind, std::uint64_t key) const;

@@ -4,12 +4,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <ostream>
 #include <thread>
 
 #include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
+#include "support/atomic_file.hpp"
 #include "support/deadline.hpp"
 #include "support/expect.hpp"
 #include "support/hash.hpp"
@@ -187,6 +187,20 @@ void add_issue(FsckReport& report, const FsckOptions& opts,
   report.issues.push_back(std::move(issue));
 }
 
+/// Report `path` if its name is atomic-file debris; returns whether it was.
+bool report_debris(FsckReport& report, const FsckOptions& opts,
+                   const fs::path& path) {
+  const Debris debris = classify_debris(path.filename().string());
+  if (debris == Debris::kIntent) {
+    add_issue(report, opts, FsckIssue::Kind::kDanglingIntent, path,
+              "write-ahead marker outlived its write");
+  } else if (debris == Debris::kTmp) {
+    add_issue(report, opts, FsckIssue::Kind::kOrphanTmp, path,
+              "temp file never renamed into place");
+  }
+  return debris != Debris::kNone;
+}
+
 void fsck_kind_dir(FsckReport& report, const FsckOptions& opts,
                    const std::string& kind, const fs::path& dir) {
   std::error_code ec;
@@ -196,17 +210,8 @@ void fsck_kind_dir(FsckReport& report, const FsckOptions& opts,
                 "not a regular file");
       continue;
     }
+    if (report_debris(report, opts, entry.path())) continue;
     const std::string name = entry.path().filename().string();
-    if (name.ends_with(ContentCache::kIntentSuffix)) {
-      add_issue(report, opts, FsckIssue::Kind::kDanglingIntent, entry.path(),
-                "write-ahead marker outlived its store");
-      continue;
-    }
-    if (name.find(ContentCache::kTmpInfix) != std::string::npos) {
-      add_issue(report, opts, FsckIssue::Kind::kOrphanTmp, entry.path(),
-                "temp file never renamed into place");
-      continue;
-    }
     if (name.ends_with(ContentCache::kSlotSuffix)) {
       ++report.slots_scanned;
       const std::string hex16 =
@@ -227,35 +232,24 @@ void fsck_kind_dir(FsckReport& report, const FsckOptions& opts,
 
 void fsck_manifest(FsckReport& report, const FsckOptions& opts,
                    const std::string& manifest_path) {
-  const fs::path manifest(manifest_path);
   std::error_code ec;
-  const fs::path intent(manifest_path +
-                        std::string(ContentCache::kIntentSuffix));
-  if (fs::exists(intent, ec)) {
-    add_issue(report, opts, FsckIssue::Kind::kDanglingIntent, intent,
-              "manifest write-ahead marker outlived its write");
+  for (const std::string& debris :
+       {intent_path(manifest_path), tmp_path(manifest_path)}) {
+    if (fs::exists(debris, ec)) report_debris(report, opts, debris);
   }
-  const fs::path tmp(manifest_path + ".tmp");
-  if (fs::exists(tmp, ec)) {
-    add_issue(report, opts, FsckIssue::Kind::kOrphanTmp, tmp,
-              "manifest temp file never renamed into place");
-  }
-  if (!fs::exists(manifest, ec)) return;
-  std::ifstream in(manifest, std::ios::binary);
-  std::ostringstream text;
-  text << in.rdbuf();
-  bool ok = in.good() || in.eof();
-  if (ok) {
+  if (!fs::exists(manifest_path, ec)) return;
+  bool ok = false;
+  if (const auto text = read_file(manifest_path)) {
     try {
-      read_manifest(text.str());
+      read_manifest(*text);
+      ok = true;
     } catch (const std::exception&) {
-      ok = false;
     }
   }
   if (!ok) {
     // Safe to delete under --repair: the content cache is the write-ahead
     // log, so a resumed run regenerates every record the manifest held.
-    add_issue(report, opts, FsckIssue::Kind::kTornManifest, manifest,
+    add_issue(report, opts, FsckIssue::Kind::kTornManifest, manifest_path,
               "manifest does not parse");
   }
 }

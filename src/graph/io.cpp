@@ -14,6 +14,7 @@
 #include <unistd.h>
 #endif
 
+#include "support/atomic_file.hpp"
 #include "support/expect.hpp"
 
 namespace congestlb::graph {
@@ -339,24 +340,25 @@ MappedCsr map_topology_snapshot(const std::string& path) {
   if (data == nullptr) {
     // Heap fallback: read the whole file. Correct everywhere; loses only
     // the demand-paging benefit.
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    CLB_EXPECT(f != nullptr, "cannot open snapshot file");
-    std::fseek(f, 0, SEEK_END);
-    size = static_cast<std::size_t>(std::ftell(f));
-    std::rewind(f);
-    auto buf = std::shared_ptr<char[]>(new char[size]);
-    CLB_EXPECT(std::fread(buf.get(), 1, size, f) == size,
-               "snapshot read failed");
-    std::fclose(f);
-    data = buf.get();
-    keepalive = std::shared_ptr<const void>(buf, buf.get());
+    auto text = read_file(path);
+    CLB_EXPECT(text.has_value(), "cannot read snapshot file");
+    const auto buf = std::make_shared<const std::string>(std::move(*text));
+    data = buf->data();
+    size = buf->size();
+    keepalive = buf;
   }
 
   MappedCsr snap;
   snap.keepalive = std::move(keepalive);
+  // Every count read from the file is checked against the bytes that are
+  // left before it is multiplied or reserved, so a forged header cannot wrap
+  // a size computation into a small, in-bounds one.
   std::size_t pos = 0;
+  const auto fits = [&](std::uint64_t count, std::size_t elem) {
+    return pos <= size && count <= (size - pos) / elem;
+  };
   const auto take = [&](std::size_t bytes) {
-    CLB_EXPECT(pos + bytes <= size, "snapshot file truncated");
+    CLB_EXPECT(fits(bytes, 1), "snapshot file truncated");
     const char* p = data + pos;
     pos += bytes;
     return p;
@@ -368,6 +370,9 @@ MappedCsr map_topology_snapshot(const std::string& path) {
   snap.m = header[2];
   snap.implicit_edges = header[3];
   const std::size_t num_blocks = header[4];
+  constexpr std::size_t kBlockRecordBytes = 9 * sizeof(std::uint64_t);
+  CLB_EXPECT(fits(num_blocks, kBlockRecordBytes), "snapshot file truncated");
+  CLB_EXPECT(snap.n < size && snap.m < size, "snapshot file truncated");
   snap.blocks.reserve(num_blocks);
   for (std::size_t i = 0; i < num_blocks; ++i) {
     std::uint64_t rec[9];
@@ -389,6 +394,7 @@ MappedCsr map_topology_snapshot(const std::string& path) {
   }
   const auto array = [&](std::size_t count, std::size_t elem) {
     pos = aligned_up(pos);
+    CLB_EXPECT(fits(count, elem), "snapshot file truncated");
     return take(count * elem);
   };
   snap.offsets = {reinterpret_cast<const std::size_t*>(

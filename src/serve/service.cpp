@@ -2,12 +2,12 @@
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "campaign/cache.hpp"
 #include "campaign/supervise.hpp"
+#include "support/atomic_file.hpp"
 #include "support/expect.hpp"
 #include "support/json.hpp"
 
@@ -36,60 +36,6 @@ std::string_view to_string(SweepState state) {
   }
   return "unknown";
 }
-
-namespace {
-
-/// Atomic file write: tmp + rename. The ledger and spec files carry no
-/// intent marker — unlike manifests they are never half-expected by fsck;
-/// a torn tmp is simply ignored by the loader and overwritten next write.
-bool write_file_atomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    out << content;
-    if (!out.good()) return false;
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  return !ec;
-}
-
-/// Manifest write with the full intent -> tmp -> rename protocol from the
-/// cache slot discipline, so `clb campaign fsck` (and our own startup
-/// fsck) can classify a kill at any byte of it.
-bool write_manifest_atomic(const std::string& path,
-                           const campaign::CampaignResult& result,
-                           const campaign::ManifestWriteOptions& wopts) {
-  const std::string intent = path + ".intent";
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream mark(intent, std::ios::trunc);
-    if (!mark) return false;
-    mark << "manifest\n";
-  }
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    campaign::write_manifest(out, result, wopts);
-    if (!out.good()) return false;
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) return false;
-  fs::remove(intent, ec);
-  return true;
-}
-
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
-
-}  // namespace
 
 Service::Service(ServiceConfig config)
     : config_(std::move(config)),
@@ -432,7 +378,9 @@ void Service::run_sweep(Sweep& sw) {
         campaign::run_campaign(sw.spec, opts, resuming ? &prior : nullptr);
     campaign::ManifestWriteOptions wopts;
     wopts.include_volatile = false;  // the canonical, byte-comparable form
-    CLB_EXPECT(write_manifest_atomic(manifest_path(sw.key), result, wopts),
+    std::ostringstream text;
+    campaign::write_manifest(text, result, wopts);
+    CLB_EXPECT(write_file_atomic(manifest_path(sw.key), text.str()),
                "serve: cannot write sweep manifest");
     sw.jobs_done.store(result.records.size(), std::memory_order_relaxed);
     sw.all_hold = result.all_hold;

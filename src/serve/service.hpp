@@ -32,9 +32,11 @@
 // spec, by the campaign determinism contract) is written atomically under
 // sweeps/<key>/.
 //
-// Crash story. State dir layout:
-//   server.json          accepted-sweep ledger (atomic tmp+rename writes)
-//   cache/               the campaign content cache (its own WAL protocol)
+// Crash story. State dir layout, every file written by the one
+// intent -> tmp -> rename protocol of support/atomic_file.hpp:
+//   server.json          accepted-sweep ledger
+//   port                 the daemon's listening port (`clb serve`)
+//   cache/               the campaign content cache
 //   sweeps/<key>/spec.json       canonical spec, written at accept
 //   sweeps/<key>/campaign.json   canonical manifest, written at completion
 // Startup runs fsck --repair over the cache and every incomplete sweep's

@@ -21,10 +21,12 @@
 namespace congestlb {
 namespace {
 
-TEST(Integration, FullPipelineFromEpsilon) {
-  // Pick eps, derive t per Lemma 2, build separated params, run the whole
-  // reduction with the universal algorithm, and get the right answer on
-  // both branches while respecting the Theorem-5 bit budget.
+// Pick eps, derive t per Lemma 2, build separated params, run the whole
+// reduction with the universal algorithm on one branch, and get the right
+// answer while respecting the Theorem-5 bit budget. Both instances are
+// drawn from one Rng(1) in a fixed order (YES, then NO) whichever branch
+// runs, so each test sees exactly its instance of that shared sequence.
+void run_pipeline_from_epsilon(bool intersecting) {
   const double eps = 0.45;  // small t so the test stays fast
   const std::size_t t = lb::linear_players_for_epsilon(eps);
   ASSERT_EQ(t, 5u);
@@ -34,28 +36,34 @@ TEST(Integration, FullPipelineFromEpsilon) {
   ASSERT_TRUE(c.separated());
 
   Rng rng(1);
-  for (bool intersecting : {true, false}) {
-    const auto inst = intersecting
-                          ? comm::make_uniquely_intersecting(p.k, t, rng, 0.3)
-                          : comm::make_pairwise_disjoint(p.k, t, rng, 0.3);
-    comm::Blackboard board(t);
-    congest::NetworkConfig cfg;
-    cfg.bits_per_edge = congest::universal_required_bits(
-        c.num_nodes(), static_cast<graph::Weight>(p.ell));
-    cfg.max_rounds = 500'000;
-    const auto rep = sim::run_linear_reduction(
-        c, inst,
-        congest::universal_maxis_factory([](const graph::Graph& g) {
-          return maxis::solve_exact(g).nodes;
-        }),
-        board, cfg);
-    EXPECT_TRUE(rep.correct);
-    EXPECT_TRUE(rep.accounting_ok);
-    // The protocol the players ran costs what the board says; a genuine
-    // protocol for promise disjointness must respect the CKS bound.
-    EXPECT_GE(static_cast<double>(rep.blackboard_bits),
-              comm::cks_lower_bound_bits(p.k, t));
-  }
+  const auto yes = comm::make_uniquely_intersecting(p.k, t, rng, 0.3);
+  const auto no = comm::make_pairwise_disjoint(p.k, t, rng, 0.3);
+  const auto& inst = intersecting ? yes : no;
+  comm::Blackboard board(t);
+  congest::NetworkConfig cfg;
+  cfg.bits_per_edge = congest::universal_required_bits(
+      c.num_nodes(), static_cast<graph::Weight>(p.ell));
+  cfg.max_rounds = 500'000;
+  const auto rep = sim::run_linear_reduction(
+      c, inst,
+      congest::universal_maxis_factory([](const graph::Graph& g) {
+        return maxis::solve_exact(g).nodes;
+      }),
+      board, cfg);
+  EXPECT_TRUE(rep.correct);
+  EXPECT_TRUE(rep.accounting_ok);
+  // The protocol the players ran costs what the board says; a genuine
+  // protocol for promise disjointness must respect the CKS bound.
+  EXPECT_GE(static_cast<double>(rep.blackboard_bits),
+            comm::cks_lower_bound_bits(p.k, t));
+}
+
+TEST(Integration, FullPipelineFromEpsilonYes) {
+  run_pipeline_from_epsilon(/*intersecting=*/true);
+}
+
+TEST(Integration, FullPipelineFromEpsilonNo) {
+  run_pipeline_from_epsilon(/*intersecting=*/false);
 }
 
 TEST(Integration, HardInstancesHaveSmallDiameter) {

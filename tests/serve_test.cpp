@@ -25,6 +25,7 @@
 #include "serve/routes.hpp"
 #include "serve/service.hpp"
 #include "serve/session.hpp"
+#include "support/atomic_file.hpp"
 #include "support/expect.hpp"
 #include "support/json.hpp"
 
@@ -407,6 +408,42 @@ TEST(Service, RestartResumeCompletesEveryAcceptedSweep) {
     ASSERT_TRUE(manifest.has_value());
     EXPECT_EQ(*manifest, reference_manifest(specs[i]));
   }
+}
+
+TEST(Service, RestartIgnoresLedgerWriteDebris) {
+  // A kill inside a ledger write leaves the intent marker and a torn temp
+  // file next to the intact previous ledger; the restart must load the
+  // ledger, not the debris, and its first rewrite clears both.
+  ScratchDir scratch("ledger_debris");
+  const auto spec = tiny_spec(20);
+  std::string key;
+  {
+    srv::ServiceConfig config;
+    config.state_dir = scratch.str();
+    config.orchestrators = 0;  // accept + persist, never start
+    srv::Service service(config);
+    const auto res = service.submit("alice", spec, 0);
+    ASSERT_EQ(res.outcome, srv::SubmitOutcome::kAccepted);
+    key = res.sweep;
+  }
+  const std::string ledger = scratch.str() + "/server.json";
+  ASSERT_TRUE(clb::write_file_atomic(clb::intent_path(ledger), ledger + "\n"));
+  ASSERT_TRUE(clb::write_file_atomic(clb::tmp_path(ledger),
+                                     "{\"clb_server\": 1, \"swe"));
+
+  srv::ServiceConfig config;
+  config.state_dir = scratch.str();
+  config.orchestrators = 1;
+  srv::Service service(config);
+  EXPECT_FALSE(fs::exists(clb::intent_path(ledger)));
+  EXPECT_FALSE(fs::exists(clb::tmp_path(ledger)));
+  ASSERT_TRUE(service.wait_idle(60000));
+  const auto st = service.status(key);
+  ASSERT_TRUE(st.has_value());
+  EXPECT_EQ(st->state, srv::SweepState::kComplete);
+  const auto manifest = service.manifest_text(key);
+  ASSERT_TRUE(manifest.has_value());
+  EXPECT_EQ(*manifest, reference_manifest(spec));
 }
 
 // Acceptance soak: >= 8 concurrent clients with mixed cold, warm, and

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -160,6 +161,55 @@ TEST(TopologySnapshot, RejectsTruncatedFile) {
   const std::string path = temp_path("truncated");
   write_topology_snapshot(path, snap);
   fs::resize_file(path, fs::file_size(path) / 2);
+  EXPECT_THROW(map_topology_snapshot(path), InvariantError);
+  fs::remove(path);
+}
+
+/// A snapshot file holding only a forged header (the real magic, then the
+/// given n, m and block count), zero-padded to `size` bytes.
+std::string forged_snapshot(const char* tag, std::uint64_t n, std::uint64_t m,
+                            std::uint64_t num_blocks, std::size_t size) {
+  const std::string path = temp_path(tag);
+  write_topology_snapshot(path, MappedCsr{});
+  std::uint64_t header[5];
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    EXPECT_EQ(std::fread(header, sizeof(header), 1, f), 1u);
+    std::fclose(f);
+  }
+  header[1] = n;
+  header[2] = m;
+  header[3] = 0;
+  header[4] = num_blocks;
+  std::string bytes(size, '\0');
+  std::memcpy(bytes.data(), header, sizeof(header));
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+  return path;
+}
+
+TEST(TopologySnapshot, RejectsEmptyFile) {
+  // mmap refuses a zero-length file, so this also drives the heap fallback.
+  const std::string path = temp_path("empty");
+  std::fclose(std::fopen(path.c_str(), "wb"));
+  EXPECT_THROW(map_topology_snapshot(path), InvariantError);
+  fs::remove(path);
+}
+
+TEST(TopologySnapshot, RejectsNodeCountThatWrapsTheOffsetsSize) {
+  // (n+1)*8 wraps to 8 for n = 2^61: a size check after the multiply
+  // would accept an offsets span of 2^61+1 elements over 296 bytes.
+  const std::string path =
+      forged_snapshot("wrap_n", std::uint64_t{1} << 61, 0, 0, 296);
+  EXPECT_THROW(map_topology_snapshot(path), InvariantError);
+  fs::remove(path);
+}
+
+TEST(TopologySnapshot, RejectsBlockCountLargerThanTheFile) {
+  // Reserving 2^60 block records must not be attempted at all.
+  const std::string path =
+      forged_snapshot("huge_blocks", 0, 0, std::uint64_t{1} << 60, 296);
   EXPECT_THROW(map_topology_snapshot(path), InvariantError);
   fs::remove(path);
 }

@@ -1,12 +1,15 @@
 // Unit and property tests for the support module: invariant macros,
-// deterministic RNG, integer math, and table rendering.
+// deterministic RNG, integer math, table rendering, and the atomic-file
+// protocol.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <set>
 #include <sstream>
 
+#include "support/atomic_file.hpp"
 #include "support/expect.hpp"
 #include "support/flat_set.hpp"
 #include "support/math.hpp"
@@ -333,6 +336,76 @@ TEST(Table, CellFormatting) {
   EXPECT_EQ(Table::cell(42), "42");
   EXPECT_EQ(Table::cell(1.5), "1.500");
   EXPECT_EQ(fmt_double(3.14159, 2), "3.14");
+}
+
+// ----------------------------------------------------------- atomic_file --
+
+/// A fresh scratch directory, removed on scope exit.
+struct ScratchDir {
+  std::filesystem::path path;
+  explicit ScratchDir(const std::string& tag)
+      : path(std::filesystem::path(::testing::TempDir()) /
+             ("clb_support_test_" + tag)) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(path); }
+  std::string file(const std::string& name) const {
+    return (path / name).string();
+  }
+};
+
+TEST(AtomicFile, RoundTripsAndOverwrites) {
+  ScratchDir dir("roundtrip");
+  const std::string path = dir.file("artifact.json");
+  EXPECT_FALSE(read_file(path).has_value());
+  const std::string bytes("binary\0payload\n", 15);
+  ASSERT_TRUE(write_file_atomic(path, bytes));
+  EXPECT_EQ(read_file(path), bytes);
+  ASSERT_TRUE(write_file_atomic(path, "v2"));
+  EXPECT_EQ(read_file(path), "v2");
+  ASSERT_TRUE(write_file_atomic(path, ""));
+  EXPECT_EQ(read_file(path), "");
+  EXPECT_FALSE(std::filesystem::exists(intent_path(path)));
+  EXPECT_FALSE(std::filesystem::exists(tmp_path(path)));
+}
+
+TEST(AtomicFile, FailedWriteLeavesNoDebris) {
+  ScratchDir dir("failed");
+  // The directory does not exist: not even the intent can be created.
+  const std::string missing = dir.file("no/such/dir/artifact");
+  EXPECT_FALSE(write_file_atomic(missing, "lost"));
+  EXPECT_FALSE(std::filesystem::exists(intent_path(missing)));
+  EXPECT_FALSE(std::filesystem::exists(tmp_path(missing)));
+  // The target is a non-empty directory: intent and tmp are written, the
+  // rename fails, and both must be cleaned up again.
+  const std::string occupied = dir.file("occupied");
+  std::filesystem::create_directories(occupied + "/child");
+  EXPECT_FALSE(write_file_atomic(occupied, "lost"));
+  EXPECT_TRUE(std::filesystem::is_directory(occupied));
+  EXPECT_FALSE(std::filesystem::exists(intent_path(occupied)));
+  EXPECT_FALSE(std::filesystem::exists(tmp_path(occupied)));
+}
+
+TEST(AtomicFile, ClassifiesDebrisOfBothLayouts) {
+  const auto name = [](const std::string& path) {
+    return std::filesystem::path(path).filename().string();
+  };
+  // The names write_file_atomic leaves behind today.
+  EXPECT_EQ(classify_debris(name(intent_path("c/0123456789abcdef.clbc"))),
+            Debris::kIntent);
+  EXPECT_EQ(classify_debris(name(tmp_path("c/0123456789abcdef.clbc"))),
+            Debris::kTmp);
+  EXPECT_EQ(classify_debris(name(intent_path("campaign.json"))),
+            Debris::kIntent);
+  EXPECT_EQ(classify_debris(name(tmp_path("campaign.json"))), Debris::kTmp);
+  // The older cache-slot temp name, `<slot>.tmp.<hex16>`.
+  EXPECT_EQ(classify_debris("0123456789abcdef.clbc.tmp.0123456789abcdef"),
+            Debris::kTmp);
+  // Artifacts themselves are not debris.
+  EXPECT_EQ(classify_debris("0123456789abcdef.clbc"), Debris::kNone);
+  EXPECT_EQ(classify_debris("campaign.json"), Debris::kNone);
+  EXPECT_EQ(classify_debris("server.json"), Debris::kNone);
 }
 
 }  // namespace

@@ -40,7 +40,6 @@
 #include <cmath>
 #include <csignal>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -70,6 +69,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/reduction.hpp"
+#include "support/atomic_file.hpp"
 #include "support/json.hpp"
 #include "support/table.hpp"
 
@@ -419,42 +419,13 @@ std::optional<clb::campaign::CampaignSpec> load_spec(const std::string& arg) {
   if (const auto builtin = clb::campaign::builtin_campaign(arg)) {
     return builtin;
   }
-  std::ifstream in(arg);
-  if (!in) {
+  const auto text = clb::read_file(arg);
+  if (!text) {
     std::cerr << "cannot open campaign spec '" << arg
               << "' (not a built-in name or a readable file)\n";
     return std::nullopt;
   }
-  std::ostringstream text;
-  text << in.rdbuf();
-  return clb::campaign::parse_campaign_spec_text(text.str());
-}
-
-/// Atomic manifest write with a write-ahead intent marker, mirroring the
-/// cache slot protocol so `clb campaign fsck` can classify a crash at any
-/// byte: intent -> tmp -> rename -> remove intent.
-bool write_manifest_atomic(const std::string& path,
-                           const clb::campaign::CampaignResult& result,
-                           const clb::campaign::ManifestWriteOptions& wopts) {
-  namespace fs = std::filesystem;
-  const std::string intent = path + ".intent";
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream mark(intent, std::ios::trunc);
-    if (!mark) return false;
-    mark << "manifest\n";
-  }
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    clb::campaign::write_manifest(out, result, wopts);
-    if (!out.good()) return false;
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) return false;
-  fs::remove(intent, ec);
-  return true;
+  return clb::campaign::parse_campaign_spec_text(*text);
 }
 
 int cmd_campaign(int argc, char** argv) {
@@ -545,12 +516,12 @@ int cmd_campaign(int argc, char** argv) {
                 << (issue.repaired ? " [repaired]" : "") << "\n";
     }
     if (!report_path.empty()) {
-      std::ofstream out(report_path, std::ios::trunc);
-      if (!out) {
+      std::ostringstream out;
+      clb::campaign::write_fsck_report(out, report);
+      if (!clb::write_file_atomic(report_path, out.str())) {
         std::cerr << "cannot write fsck report '" << report_path << "'\n";
         return 1;
       }
-      clb::campaign::write_fsck_report(out, report);
       std::cout << "report: " << report_path << "\n";
     }
     // Exit 0 when the directory is consistent — either it was clean, or
@@ -566,14 +537,12 @@ int cmd_campaign(int argc, char** argv) {
   }
 
   if (action == "status") {
-    std::ifstream in(manifest_path);
-    if (!in) {
+    const auto text = clb::read_file(manifest_path);
+    if (!text) {
       std::cerr << "cannot open manifest '" << manifest_path << "'\n";
       return 1;
     }
-    std::ostringstream text;
-    text << in.rdbuf();
-    const auto m = clb::campaign::read_manifest(text.str());
+    const auto m = clb::campaign::read_manifest(*text);
     std::size_t checks = 0, holding = 0, pending_hint = 0;
     std::uint64_t total_retries = 0;
     for (const auto& [id, rec] : m.records) {
@@ -637,11 +606,8 @@ int cmd_campaign(int argc, char** argv) {
   std::map<std::string, clb::campaign::JobRecord> prior;
   bool resuming = false;
   if (action == "resume") {
-    std::ifstream in(manifest_path);
-    if (in) {
-      std::ostringstream text;
-      text << in.rdbuf();
-      const auto m = clb::campaign::read_manifest(text.str());
+    if (const auto text = clb::read_file(manifest_path)) {
+      const auto m = clb::campaign::read_manifest(*text);
       if (m.spec_hash != spec->content_hash()) {
         std::cerr << "note: manifest '" << manifest_path
                   << "' was written by a different spec; jobs whose inputs "
@@ -661,7 +627,9 @@ int cmd_campaign(int argc, char** argv) {
   clb::campaign::ManifestWriteOptions wopts;
   wopts.include_volatile = !canonical;
   wopts.metrics = canonical ? nullptr : &metrics;
-  if (!write_manifest_atomic(manifest_path, result, wopts)) {
+  std::ostringstream manifest;
+  clb::campaign::write_manifest(manifest, result, wopts);
+  if (!clb::write_file_atomic(manifest_path, manifest.str())) {
     std::cerr << "cannot write manifest '" << manifest_path << "'\n";
     return 1;
   }
@@ -750,13 +718,10 @@ int cmd_serve(int argc, char** argv) {
   clb::serve::HttpServer http(static_cast<std::uint16_t>(port));
   // Port file: with --port 0 the kernel picks the port, so tests and
   // scripts discover it here instead of racing for a free one themselves.
-  {
-    std::ofstream pf(state_dir + "/port", std::ios::trunc);
-    if (!pf) {
-      std::cerr << "serve: cannot write " << state_dir << "/port\n";
-      return 1;
-    }
-    pf << http.port() << "\n";
+  if (!clb::write_file_atomic(state_dir + "/port",
+                              std::to_string(http.port()) + "\n")) {
+    std::cerr << "serve: cannot write " << state_dir << "/port\n";
+    return 1;
   }
   std::signal(SIGTERM, clb_serve_on_signal);
   std::signal(SIGINT, clb_serve_on_signal);
@@ -793,11 +758,10 @@ std::optional<std::uint16_t> client_port(const std::string& port_arg,
     return static_cast<std::uint16_t>(*v);
   }
   if (!state_dir.empty()) {
-    std::ifstream pf(state_dir + "/port");
-    std::uint64_t p = 0;
-    if (pf >> p && p > 0 && p <= 65535) {
-      return static_cast<std::uint16_t>(p);
-    }
+    auto text = clb::read_file(state_dir + "/port");
+    if (text && text->ends_with('\n')) text->pop_back();
+    const auto v = text ? parse_u64(text->c_str()) : std::nullopt;
+    if (v && *v > 0 && *v <= 65535) return static_cast<std::uint16_t>(*v);
   }
   return std::nullopt;
 }
@@ -843,14 +807,9 @@ int cmd_submit(int argc, char** argv) {
 
   // A readable file is a spec document (embedded verbatim — it is already
   // JSON); anything else is passed through as a builtin name.
-  std::string spec_value;
-  if (std::ifstream in(spec_arg); in) {
-    std::ostringstream text;
-    text << in.rdbuf();
-    spec_value = text.str();
-  } else {
-    spec_value = "\"" + spec_arg + "\"";
-  }
+  const auto spec_file = clb::read_file(spec_arg);
+  const std::string spec_value =
+      spec_file ? *spec_file : "\"" + spec_arg + "\"";
   std::ostringstream body;
   body << "{\"spec\": " << spec_value << ", \"client\": \"" << client
        << "\", \"priority\": " << priority << "}";
@@ -1003,12 +962,10 @@ int cmd_fetch(int argc, char** argv) {
     std::cout << res.body;
     return 0;
   }
-  std::ofstream out(out_path, std::ios::trunc);
-  if (!out) {
+  if (!clb::write_file_atomic(out_path, res.body)) {
     std::cerr << "fetch: cannot write '" << out_path << "'\n";
     return 1;
   }
-  out << res.body;
   std::cout << "manifest: " << out_path << "\n";
   return 0;
 }
