@@ -692,12 +692,11 @@ CampaignResult run_campaign(const CampaignSpec& spec, const RunOptions& opts,
               }
               if (left == 0) submit_one(dep);
             }
-            bool done;
-            {
-              std::lock_guard<std::mutex> lock(sr.mu);
-              done = --sr.remaining == 0;
-            }
-            if (done) sr.cv.notify_all();
+            // Notify under the lock: sr lives on the waiter's stack, and
+            // the waiter can return (destroying sr.cv) as soon as it sees
+            // remaining == 0 — the lock keeps it out until notify is done.
+            std::lock_guard<std::mutex> lock(sr.mu);
+            if (--sr.remaining == 0) sr.cv.notify_all();
           });
       if (!admitted) {
         // The pool is draining: account the job (and, transitively, its
@@ -711,12 +710,8 @@ CampaignResult run_campaign(const CampaignSpec& spec, const RunOptions& opts,
           }
           if (left == 0) submit_one(dep);
         }
-        bool done;
-        {
-          std::lock_guard<std::mutex> lock(sr.mu);
-          done = --sr.remaining == 0;
-        }
-        if (done) sr.cv.notify_all();
+        std::lock_guard<std::mutex> lock(sr.mu);
+        if (--sr.remaining == 0) sr.cv.notify_all();
       }
     };
     // Snapshot the initially-ready set BEFORE submitting anything: once a

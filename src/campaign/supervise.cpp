@@ -276,6 +276,15 @@ FsckReport fsck_campaign(const std::string& cache_dir,
   return report;
 }
 
+FsckReport fsck_debris_dir(const std::string& dir, const FsckOptions& opts) {
+  FsckReport report;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    report_debris(report, opts, entry.path());
+  }
+  return report;
+}
+
 void write_fsck_report(std::ostream& os, const FsckReport& report) {
   JsonWriter w(os);
   w.begin_object();

@@ -185,6 +185,12 @@ FsckReport fsck_campaign(const std::string& cache_dir,
                          const std::string& manifest_path = {},
                          const FsckOptions& opts = {});
 
+/// Audit one directory of atomic-file artifacts (a service sweep dir, say):
+/// report the debris classify_debris() names, and with opts.repair delete
+/// it. Every other file is left alone and unreported.
+FsckReport fsck_debris_dir(const std::string& dir,
+                           const FsckOptions& opts = {});
+
 /// JSON report (schema key "clb_fsck_report": 1) for CI artifacts.
 void write_fsck_report(std::ostream& os, const FsckReport& report);
 

@@ -12,6 +12,29 @@ namespace congestlb::congest {
 namespace {
 
 constexpr std::size_t kWeightBits = 32;
+/// Widest id field whose token, 1 + 2 * id_bits + kWeightBits bits, still
+/// fits the one 64-bit word the program encodes and decodes it as.
+constexpr std::size_t kMaxIdBits = 15;
+
+static_assert(1 + 2 * kMaxIdBits + kWeightBits <= 64);
+// decode() loads 8 bytes from the start of every payload.
+static_assert(PayloadBytes::kSlackBytes >= sizeof(std::uint64_t));
+
+std::size_t id_bits_for(std::size_t n) {
+  return static_cast<std::size_t>(
+      std::max(1, ceil_log2(std::max<std::size_t>(2, n))));
+}
+
+/// The first 8 payload bytes as a little-endian word: bit i of the token is
+/// bit i of the word, the LSB-first layout MessageWriter produces. Compilers
+/// fold the loop into one 8-byte load on little-endian targets.
+std::uint64_t load_word(const std::byte* p) {
+  std::uint64_t word = 0;
+  for (std::size_t i = 0; i < sizeof word; ++i) {
+    word |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  }
+  return word;
+}
 
 class UniversalMaxIsProgram final : public NodeProgram {
  public:
@@ -48,8 +71,9 @@ class UniversalMaxIsProgram final : public NodeProgram {
  private:
   void initialize(const NodeInfo& info) {
     initialized_ = true;
-    id_bits_ = static_cast<std::size_t>(
-        std::max(1, ceil_log2(std::max<std::size_t>(2, info.n))));
+    id_bits_ = id_bits_for(info.n);
+    CLB_EXPECT(id_bits_ <= kMaxIdBits,
+               "universal-maxis: n too large for 64-bit tokens");
     CLB_EXPECT(info.bits_per_edge >= 1 + 2 * id_bits_ + kWeightBits,
                "universal-maxis: per-edge bandwidth too small for tokens; "
                "use universal_required_bits()");
@@ -82,15 +106,41 @@ class UniversalMaxIsProgram final : public NodeProgram {
     return scratch_;
   }
 
-  /// Encode a newly learned token once and append it to the arena.
+  /// Encode a newly learned token once and append it to the arena: the
+  /// fields packed LSB-first into one word (edge flag, a, b, then the
+  /// weight of a node token; w is 0 for an edge), stored little-endian.
+  /// Callers pass a, b < 2^id_bits_ and w < 2^kWeightBits.
   void learn(bool is_edge, std::uint64_t a, std::uint64_t b, std::uint64_t w) {
-    MessageWriter wr;
-    wr.put(is_edge ? 1 : 0, 1).put(a, id_bits_).put(b, id_bits_);
-    if (!is_edge) wr.put(w, kWeightBits);
-    const Message m = std::move(wr).finish();
+    const std::uint64_t word = (is_edge ? 1u : 0u) | a << 1 |
+                               b << (1 + id_bits_) | w << (1 + 2 * id_bits_);
     const std::size_t at = arena_.size();
     arena_.resize(at + stride_);
-    std::copy(m.data.begin(), m.data.end(), arena_.begin() + at);
+    for (std::size_t i = 0; i < stride_; ++i) {
+      arena_[at + i] = static_cast<std::byte>(word >> (8 * i));
+    }
+  }
+
+  struct Token {
+    bool is_edge;
+    std::uint64_t a, b;  ///< node token: id, degree; edge token: u, v
+    std::uint64_t w;     ///< node token's weight
+  };
+
+  /// Decode a token from one word load. A message shorter than its token
+  /// is rejected; bits past the token are ignored.
+  Token decode(const NodeInfo& info, const Message& msg) const {
+    const std::uint64_t word = load_word(msg.data.data());
+    const std::uint64_t id_mask = (std::uint64_t{1} << id_bits_) - 1;
+    Token t;
+    t.is_edge = (word & 1) != 0;
+    CLB_EXPECT(msg.bits >= 1 + 2 * id_bits_ + (t.is_edge ? 0 : kWeightBits),
+               "universal-maxis: truncated token");
+    t.a = (word >> 1) & id_mask;
+    t.b = (word >> (1 + id_bits_)) & id_mask;
+    t.w = (word >> (1 + 2 * id_bits_)) &
+          ((std::uint64_t{1} << kWeightBits) - 1);
+    CLB_EXPECT(t.a < info.n && t.b < info.n, "universal-maxis: bad token ids");
+    return t;
   }
 
   void add_node_token(std::uint64_t id, std::uint64_t deg, std::uint64_t w) {
@@ -107,15 +157,11 @@ class UniversalMaxIsProgram final : public NodeProgram {
   }
 
   void ingest(const NodeInfo& info, const Message& msg) {
-    MessageReader r(msg);
-    const bool is_edge = r.get(1) != 0;
-    const std::uint64_t a = r.get(id_bits_);
-    const std::uint64_t b = r.get(id_bits_);
-    CLB_EXPECT(a < info.n && b < info.n, "universal-maxis: bad token ids");
-    if (is_edge) {
-      add_edge_token(info, a, b);
+    const Token t = decode(info, msg);
+    if (t.is_edge) {
+      add_edge_token(info, t.a, t.b);
     } else {
-      add_node_token(a, b, r.get(kWeightBits));
+      add_node_token(t.a, t.b, t.w);
     }
   }
 
@@ -132,10 +178,10 @@ class UniversalMaxIsProgram final : public NodeProgram {
     std::vector<std::pair<NodeId, NodeId>> edges;
     edges.reserve(edge_known_.size());
     for (std::size_t i = 0; i < num_tokens(); ++i) {
-      MessageReader r(wire(i));
-      if (r.get(1) == 0) continue;
-      const auto u = static_cast<NodeId>(r.get(id_bits_));
-      edges.emplace_back(u, static_cast<NodeId>(r.get(id_bits_)));
+      const Token t = decode(info, wire(i));
+      if (t.is_edge) {
+        edges.emplace_back(static_cast<NodeId>(t.a), static_cast<NodeId>(t.b));
+      }
     }
     g.add_edges(edges);
     const auto solution = solver_(g);
@@ -168,8 +214,9 @@ std::size_t universal_required_bits(std::size_t n, graph::Weight max_weight) {
   CLB_EXPECT(max_weight >= 0 &&
                  static_cast<std::uint64_t>(max_weight) < (1ULL << kWeightBits),
              "universal-maxis: max weight exceeds token field");
-  const std::size_t id_bits = static_cast<std::size_t>(
-      std::max(1, ceil_log2(std::max<std::size_t>(2, n))));
+  const std::size_t id_bits = id_bits_for(n);
+  CLB_EXPECT(id_bits <= kMaxIdBits,
+             "universal-maxis: n too large for 64-bit tokens");
   return 1 + 2 * id_bits + kWeightBits;
 }
 

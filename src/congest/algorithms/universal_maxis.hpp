@@ -30,6 +30,8 @@ using LocalMaxIsSolver =
 
 /// Per-edge bandwidth the token encoding needs for an n-node network with
 /// max node weight `max_weight` (1 type bit + 2 id fields + weight field).
+/// A token is coded as one 64-bit word, so n is limited to 2^15 (15-bit
+/// ids); larger n, like a weight of 2^32 or more, throws.
 std::size_t universal_required_bits(std::size_t n, graph::Weight max_weight);
 
 /// One UniversalMaxIsProgram per node; `solver` must be deterministic and is

@@ -38,12 +38,6 @@ void PayloadBytes::push_back(std::byte b) {
   data()[size_++] = b;
 }
 
-void PayloadBytes::assign(const std::byte* src, std::size_t n) {
-  ensure_capacity(n);
-  std::memcpy(data(), src, n);
-  size_ = n;
-}
-
 void PayloadBytes::swap(PayloadBytes& other) noexcept {
   std::byte tmp[sizeof inline_];
   std::memcpy(tmp, inline_, sizeof inline_);

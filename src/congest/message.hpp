@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace congestlb::congest {
 
@@ -31,9 +32,10 @@ class PayloadBytes {
   /// never part of size(): the SIMD bit packers (support/simd.hpp,
   /// Kernels::pack_bits) read-modify-write whole 8-byte windows plus a
   /// spill byte, so MessageWriter/MessageReader need
-  /// simd::kPackSlackBytes addressable bytes beyond the payload. The
-  /// window stores bytes beyond the payload back unchanged, so slack
-  /// contents are never observable.
+  /// simd::kPackSlackBytes addressable bytes beyond the payload, and the
+  /// universal program's one-word token decode loads 8 bytes from the
+  /// payload start. The window stores bytes beyond the payload back
+  /// unchanged, so slack contents are never observable.
   static constexpr std::size_t kSlackBytes = 8;
 
   PayloadBytes() = default;
@@ -71,7 +73,13 @@ class PayloadBytes {
   void push_back(std::byte b);
 
   /// Replace contents with [src, src+n); reuses capacity when possible.
-  void assign(const std::byte* src, std::size_t n);
+  /// Inline: this is the per-message copy into the engine's arenas, and
+  /// only the growth path (ensure_capacity) is worth a call.
+  void assign(const std::byte* src, std::size_t n) {
+    if (n > capacity_) ensure_capacity(n);
+    std::memcpy(data(), src, n);
+    size_ = n;
+  }
 
   void swap(PayloadBytes& other) noexcept;
 

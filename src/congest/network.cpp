@@ -30,7 +30,7 @@ Outbox::Outbox(std::size_t num_neighbors, std::size_t cap_bits)
       count_(num_neighbors),
       cap_bits_(cap_bits) {}
 
-void Outbox::send(std::size_t slot, const Message& msg) {
+void Outbox::send_checked(std::size_t slot, const Message& msg) {
   CLB_EXPECT(slot < count_, "Outbox: neighbor slot out of range");
   CLB_EXPECT(msg.bits > 0, "Outbox: refusing to send an empty message");
   // The model constraint is checked at send time, faults or not: a program
@@ -53,9 +53,9 @@ void Outbox::send(std::size_t slot, const Message& msg) {
     ++sent_count_;
     return;
   }
+  // A valid per-edge send was queued by send()'s inline branch; what
+  // reaches here has failed a check, and this is the one left.
   CLB_EXPECT(kind_[slot] == 0, "Outbox: one message per neighbor per round");
-  msgs_[slot] = msg;  // copy-assign reuses the arena slot's capacity
-  kind_[slot] = 1;
 }
 
 void Outbox::send_all(const Message& msg) {

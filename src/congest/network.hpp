@@ -215,8 +215,19 @@ class Outbox {
   }
 
   /// Queue a message for neighbor slot `i` (at most one per round per edge,
-  /// at most cap_bits bits).
-  void send(std::size_t slot, const Message& msg);
+  /// at most cap_bits bits). The inline branch is the only per-edge
+  /// enqueue: every check passes and it copies straight into the arena.
+  /// Anything else takes send_checked(), which handles broadcast mode and
+  /// is the one place that rejects a send.
+  void send(std::size_t slot, const Message& msg) {
+    if (!bcast_ && slot < count_ && msg.bits != 0 && msg.bits <= cap_bits_ &&
+        kind_[slot] == 0) {
+      msgs_[slot] = msg;  // copy-assign reuses the arena slot's capacity
+      kind_[slot] = 1;
+      return;
+    }
+    send_checked(slot, msg);
+  }
 
   /// Queue the same message to every neighbor (broadcast).
   void send_all(const Message& msg);
@@ -233,6 +244,10 @@ class Outbox {
   std::size_t broadcast_sends() const { return sent_count_; }
 
  private:
+  /// send()'s slow path: queues a broadcast-mode send, and raises the
+  /// error of any send that fails a check.
+  void send_checked(std::size_t slot, const Message& msg);
+
   std::vector<std::uint8_t> own_kind_;  ///< engaged only in owning mode
   std::vector<Message> own_msgs_;       ///< engaged only in owning mode
   std::uint8_t* kind_ = nullptr;

@@ -125,6 +125,16 @@ void Service::load_state() {
   campaign::FsckOptions fopts;
   fopts.repair = true;
   campaign::fsck_campaign(cache_dir, /*manifest_path=*/{}, fopts);
+  // And from every sweep dir: a kill inside persist_spec() or a manifest
+  // write leaves an intent marker or temp file there, also for sweeps that
+  // never reached the ledger and so are never loaded below.
+  std::error_code ec;
+  for (const auto& dir :
+       fs::directory_iterator(config_.state_dir + "/sweeps", ec)) {
+    if (dir.is_directory(ec)) {
+      campaign::fsck_debris_dir(dir.path().string(), fopts);
+    }
+  }
 
   const auto ledger = read_file(config_.state_dir + "/server.json");
   if (!ledger) return;
@@ -163,7 +173,10 @@ void Service::load_state() {
         // fsck'd content cache replays every job that finished before the
         // kill, so convergence to the same canonical manifest is the
         // campaign resume contract, now across the process boundary.
-        campaign::fsck_campaign(cache_dir, manifest_path(sw->key), fopts);
+        // Both debris passes above ran already; what is left to check
+        // here is a torn manifest.
+        campaign::fsck_campaign(/*cache_dir=*/{}, manifest_path(sw->key),
+                                fopts);
         sw->state = SweepState::kQueued;
         sessions_.force_enqueue(sw->client);
       }
@@ -311,9 +324,16 @@ void Service::orchestrate(std::size_t slot) {
       persist_ledger_locked();
       hub_.publish({0, sw->key, "started", "", "", "", 0, sw->jobs_total});
     }
-    run_sweep(*sw);
+    SweepOutcome outcome = run_sweep(*sw);
     {
       std::lock_guard<std::mutex> lock(mu_);
+      sw->state = outcome.state;
+      if (outcome.state == SweepState::kComplete) {
+        sw->jobs_done.store(outcome.jobs_done, std::memory_order_relaxed);
+        sw->all_hold = outcome.all_hold;
+      } else {
+        sw->diagnostic = std::move(outcome.diagnostic);
+      }
       sessions_.on_finish(sw->client);
       --active_;
       if (sw->state == SweepState::kComplete) {
@@ -340,7 +360,7 @@ void Service::orchestrate(std::size_t slot) {
   }
 }
 
-void Service::run_sweep(Sweep& sw) {
+Service::SweepOutcome Service::run_sweep(Sweep& sw) {
   campaign::RunOptions opts;
   opts.cache_dir = config_.state_dir + "/cache";
   opts.shared = &pool_;
@@ -373,6 +393,7 @@ void Service::run_sweep(Sweep& sw) {
     }
   }
 
+  SweepOutcome outcome;
   try {
     const auto result =
         campaign::run_campaign(sw.spec, opts, resuming ? &prior : nullptr);
@@ -382,13 +403,13 @@ void Service::run_sweep(Sweep& sw) {
     campaign::write_manifest(text, result, wopts);
     CLB_EXPECT(write_file_atomic(manifest_path(sw.key), text.str()),
                "serve: cannot write sweep manifest");
-    sw.jobs_done.store(result.records.size(), std::memory_order_relaxed);
-    sw.all_hold = result.all_hold;
-    sw.state = SweepState::kComplete;
+    outcome.state = SweepState::kComplete;
+    outcome.jobs_done = result.records.size();
+    outcome.all_hold = result.all_hold;
   } catch (const std::exception& e) {
-    sw.diagnostic = e.what();
-    sw.state = SweepState::kFailed;
+    outcome.diagnostic = e.what();
   }
+  return outcome;
 }
 
 SweepStatus Service::status_of(const Sweep& sw) const {

@@ -40,7 +40,8 @@
 //   sweeps/<key>/spec.json       canonical spec, written at accept
 //   sweeps/<key>/campaign.json   canonical manifest, written at completion
 // Startup runs fsck --repair over the cache and every incomplete sweep's
-// manifest path, then re-enqueues every accepted-but-incomplete sweep from
+// manifest path, removes write debris from every sweeps/<key>/ dir (ledger
+// entry or not), then re-enqueues every accepted-but-incomplete sweep from
 // the ledger; the content cache replays finished jobs, so a restarted
 // server converges to the same canonical manifests an uninterrupted one
 // writes. Graceful drain (SIGTERM -> shutdown()) additionally finishes
@@ -198,7 +199,18 @@ class Service {
   void orchestrate(std::size_t slot);
   /// Best eligible queued sweep under quotas, or nullptr. Caller holds mu_.
   Sweep* pick_locked();
-  void run_sweep(Sweep& sw);
+  /// How a run_sweep() call ended; orchestrate() applies it to the Sweep
+  /// under mu_, together with the ledger write, so no reader sees a state
+  /// the ledger on disk does not yet hold.
+  struct SweepOutcome {
+    SweepState state = SweepState::kFailed;
+    std::uint64_t jobs_done = 0;  ///< kComplete: records in the manifest
+    bool all_hold = false;
+    std::string diagnostic;  ///< kFailed: what the run threw
+  };
+  /// Run the sweep's campaign and write its manifest. Runs without mu_ and
+  /// touches no Sweep field but the atomic jobs_done progress counter.
+  SweepOutcome run_sweep(Sweep& sw);
   SweepStatus status_of(const Sweep& sw) const;
 
   ServiceConfig config_;

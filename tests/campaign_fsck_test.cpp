@@ -176,6 +176,25 @@ TEST(Fsck, ReportWritesJson) {
   EXPECT_NE(json.find("dangling-intent"), std::string::npos);
 }
 
+TEST(Fsck, DebrisDirRemovesOnlyDebris) {
+  ScratchDir scratch("debris_dir");
+  spew(scratch.path / "spec.json", "{}\n");
+  spew(scratch.path / "spec.json.intent", "");
+  spew(scratch.path / "spec.json.tmp", "{");
+  const auto audit = cmp::fsck_debris_dir(scratch.path.string());
+  EXPECT_EQ(count_kind(audit, cmp::FsckIssue::Kind::kDanglingIntent), 1u);
+  EXPECT_EQ(count_kind(audit, cmp::FsckIssue::Kind::kOrphanTmp), 1u);
+  EXPECT_EQ(audit.issues.size(), 2u);
+  EXPECT_TRUE(fs::exists(scratch.path / "spec.json.tmp"));
+
+  cmp::FsckOptions repair;
+  repair.repair = true;
+  EXPECT_EQ(cmp::fsck_debris_dir(scratch.path.string(), repair).repaired, 2u);
+  EXPECT_TRUE(cmp::fsck_debris_dir(scratch.path.string()).clean());
+  EXPECT_EQ(slurp(scratch.path / "spec.json"), "{}\n");
+  EXPECT_FALSE(fs::exists(scratch.path / "spec.json.intent"));
+}
+
 TEST(Fsck, SlotTruncatedAtEveryByteIsInvalid) {
   // The checksummed v2 header makes torn slots *enumerable*: no strict
   // prefix of a valid slot file passes verification, so fsck can classify

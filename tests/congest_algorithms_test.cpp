@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <set>
 #include <utility>
 
 #include "congest/algorithms/greedy_mis.hpp"
@@ -291,6 +293,208 @@ TEST(Universal, RejectsNullSolver) {
 TEST(Universal, RequiredBitsFormula) {
   EXPECT_EQ(universal_required_bits(4, 1), 1u + 2 * 2 + 32);
   EXPECT_EQ(universal_required_bits(1024, 1), 1u + 2 * 10 + 32);
+}
+
+TEST(Universal, RequiredBitsRejectsTokensWiderThanOneWord) {
+  // A token is coded as one 64-bit word: 15-bit ids (63-bit tokens) are
+  // the widest that fit.
+  EXPECT_EQ(universal_required_bits(std::size_t{1} << 15, 1), 1u + 2 * 15 + 32);
+  EXPECT_THROW(universal_required_bits((std::size_t{1} << 15) + 1, 1),
+               InvariantError);
+  EXPECT_THROW(universal_required_bits(std::size_t{1} << 20, 1),
+               InvariantError);
+}
+
+// ------------------------------------------------ universal token codec --
+
+/// One token as the reference MessageReader decodes it.
+struct ReadToken {
+  bool is_edge = false;
+  std::uint64_t a = 0, b = 0, w = 0;  ///< node: id, degree, weight; edge: u, v
+  bool well_formed = false;  ///< bits == the token length of its kind
+  bool reencodes = false;    ///< MessageWriter of the fields gives its bytes
+};
+
+/// Sits among universal-program nodes: decodes every received token with
+/// MessageReader, and sends its own node and edge tokens built with
+/// MessageWriter (one per round to every neighbor), so the universal nodes
+/// around it can learn the whole graph and finish.
+class TokenRecorder final : public NodeProgram {
+ public:
+  explicit TokenRecorder(std::vector<ReadToken>* log) : log_(log) {}
+
+  void round(const NodeInfo& info, const Inbox& inbox, Outbox& outbox,
+             Rng& /*rng*/) override {
+    const auto id_bits = static_cast<std::size_t>(
+        std::max(1, ceil_log2(std::max<std::size_t>(2, info.n))));
+    for (const auto& slot : inbox) {
+      if (slot) log_->push_back(read(*slot, id_bits));
+    }
+    const std::size_t deg = info.neighbors.size();
+    tokens_ = 1 + deg;
+    if (sent_ < tokens_) {
+      MessageWriter wr;
+      if (sent_ == 0) {
+        wr.put(0, 1).put(info.id, id_bits).put(deg, id_bits);
+        wr.put(static_cast<std::uint64_t>(info.weight), 32);
+      } else {
+        const NodeId nb = info.neighbors[sent_ - 1];
+        wr.put(1, 1).put(std::min(info.id, nb), id_bits);
+        wr.put(std::max(info.id, nb), id_bits);
+      }
+      outbox.send_all(std::move(wr).finish());
+      ++sent_;
+    }
+  }
+
+  bool finished() const override { return tokens_ != 0 && sent_ == tokens_; }
+
+ private:
+  static ReadToken read(const Message& msg, std::size_t id_bits) {
+    ReadToken t;
+    MessageReader r(msg);
+    if (r.remaining() < 1 + 2 * id_bits) return t;
+    t.is_edge = r.get(1) != 0;
+    t.a = r.get(id_bits);
+    t.b = r.get(id_bits);
+    if (!t.is_edge) {
+      if (r.remaining() < 32) return t;
+      t.w = r.get(32);
+    }
+    t.well_formed = r.remaining() == 0;
+    MessageWriter wr;
+    wr.put(t.is_edge ? 1 : 0, 1).put(t.a, id_bits).put(t.b, id_bits);
+    if (!t.is_edge) wr.put(t.w, 32);
+    const Message ref = std::move(wr).finish();
+    t.reencodes = ref.bits == msg.bits && ref.data == msg.data;
+    return t;
+  }
+
+  std::vector<ReadToken>* log_;
+  std::size_t tokens_ = 0;  ///< own node token + one per incident edge
+  std::size_t sent_ = 0;
+};
+
+constexpr graph::Weight kMaxWeight = (graph::Weight{1} << 32) - 1;
+
+/// A connected graph whose last node is a leaf — the recorder's seat, so
+/// its one neighbor forwards it each token exactly once — with weights
+/// spread over the whole 32-bit token field.
+graph::Graph codec_graph(Rng& rng, std::size_t n, double p = 0.3) {
+  graph::Graph g = graph::gnp_random_connected(rng, n - 1, p);
+  const NodeId leaf = g.add_node();
+  g.add_edge(leaf, static_cast<NodeId>(rng.below(n - 1)));
+  for (NodeId v = 0; v < n; ++v) {
+    g.set_weight(v, static_cast<graph::Weight>(1 + rng.below(kMaxWeight)));
+  }
+  return g;
+}
+
+/// Runs the universal program at every node but the last, which records.
+struct CodecRun {
+  CodecRun(const graph::Graph& g, NetworkConfig cfg)
+      : net(g, factory(&log, g.num_nodes() - 1), cfg) {}
+
+  static std::vector<graph::NodeId> solver(const graph::Graph& h) {
+    return maxis::solve_greedy_max_weight(h).nodes;
+  }
+
+  static ProgramFactory factory(std::vector<ReadToken>* log, NodeId rec) {
+    return [log, rec, universal = universal_maxis_factory(solver)](
+               NodeId v, const NodeInfo& info) -> std::unique_ptr<NodeProgram> {
+      if (v == rec) return std::make_unique<TokenRecorder>(log);
+      return universal(v, info);
+    };
+  }
+
+  static bool genuine(const graph::Graph& g, const ReadToken& t) {
+    if (!t.well_formed || t.a >= g.num_nodes() || t.b >= g.num_nodes()) {
+      return false;
+    }
+    if (t.is_edge) return t.a < t.b && g.has_edge(t.a, t.b);
+    return t.b == g.degree(t.a) &&
+           t.w == static_cast<std::uint64_t>(g.weight(t.a));
+  }
+
+  std::vector<ReadToken> log;
+  Network net;
+};
+
+TEST(UniversalCodec, TokensReadBackWithMessageReaderMatchTheGraph) {
+  // The one-word encoder must emit exactly MessageWriter's bytes, and the
+  // one-word decoder must read MessageWriter's tokens (the recorder's own):
+  // every universal node then rebuilds the graph exactly.
+  for (std::size_t n : {5, 13, 40}) {
+    Rng rng(50 + n);
+    const graph::Graph g = codec_graph(rng, n);
+    NetworkConfig cfg;
+    cfg.bits_per_edge = universal_required_bits(n, kMaxWeight);
+    CodecRun run(g, cfg);
+    ASSERT_TRUE(run.net.run().all_finished) << "n " << n;
+    ASSERT_EQ(run.log.size(), n + g.num_edges()) << "n " << n;
+    std::set<NodeId> nodes;
+    std::set<std::pair<NodeId, NodeId>> edges;
+    for (const ReadToken& t : run.log) {
+      EXPECT_TRUE(t.well_formed && t.reencodes) << "n " << n;
+      EXPECT_TRUE(run.genuine(g, t))
+          << "n " << n << (t.is_edge ? " edge " : " node ") << t.a << " "
+          << t.b << " " << t.w;
+      if (t.is_edge) {
+        edges.emplace(static_cast<NodeId>(t.a), static_cast<NodeId>(t.b));
+      } else {
+        nodes.insert(static_cast<NodeId>(t.a));
+      }
+    }
+    EXPECT_EQ(nodes.size(), n);
+    EXPECT_EQ(edges.size(), g.num_edges());
+    const auto expected = CodecRun::solver(g);
+    for (NodeId v = 0; v + 1 < n; ++v) {
+      const bool in = std::find(expected.begin(), expected.end(), v) !=
+                      expected.end();
+      EXPECT_EQ(run.net.program(v).output(), in ? 1 : 0)
+          << "n " << n << " node " << v;
+    }
+  }
+}
+
+TEST(UniversalCodec, CorruptedRunsForgeNoMoreTokensThanWereCorrupted) {
+  // In-budget corruption can make a universal node learn a forged token
+  // and forward it, or reject a malformed one with InvariantError (the
+  // program is not fault-tolerant, so most runs end that way). Either way
+  // each token the recorder reads is a graph token or traces back to one
+  // corruption event, and any token of exact length re-encodes to the
+  // bytes that carried it. n = 16 fills the 4-bit id fields, so only a
+  // flipped edge flag is rejected and runs last long enough to forward
+  // corrupted and forged tokens.
+  const std::size_t n = 16;
+  std::size_t genuine = 0;
+  std::uint64_t corrupted = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(70 + seed);
+    const graph::Graph g = codec_graph(rng, n, 0.05);
+    NetworkConfig cfg;
+    cfg.bits_per_edge = universal_required_bits(n, kMaxWeight);
+    cfg.seed = seed;
+    cfg.max_rounds = 4000;
+    cfg.faults.corrupt_rate = 0.02;
+    CodecRun run(g, cfg);
+    try {
+      run.net.run();
+    } catch (const InvariantError&) {
+    }
+    const RunStats& stats = run.net.stats();
+    std::size_t forged = 0;
+    for (const ReadToken& t : run.log) {
+      if (t.well_formed) {
+        EXPECT_TRUE(t.reencodes) << "seed " << seed;
+      }
+      ++(run.genuine(g, t) ? genuine : forged);
+    }
+    EXPECT_LE(forged, stats.messages_corrupted) << "seed " << seed;
+    corrupted += stats.messages_corrupted;
+  }
+  EXPECT_GT(corrupted, 0u);
+  EXPECT_GT(genuine, 0u);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/manifest.hpp"
 #include "campaign/scheduler.hpp"
@@ -444,6 +445,89 @@ TEST(Service, RestartIgnoresLedgerWriteDebris) {
   const auto manifest = service.manifest_text(key);
   ASSERT_TRUE(manifest.has_value());
   EXPECT_EQ(*manifest, reference_manifest(spec));
+}
+
+TEST(Service, StartupRemovesSpecWriteDebrisOfUnledgeredSweeps) {
+  // A kill inside persist_spec() — before the sweep reaches the ledger —
+  // leaves the spec's intent marker and temp file in a sweep dir nothing
+  // loads. Startup must remove both, and nothing else.
+  ScratchDir scratch("spec_debris");
+  const auto spec = tiny_spec(21);
+  const std::string dir =
+      scratch.str() + "/sweeps/" +
+      cmp::ContentCache::hex_key(spec.content_hash());
+  fs::create_directories(dir);
+  const std::string spec_path = dir + "/spec.json";
+  ASSERT_TRUE(clb::write_file_atomic(clb::intent_path(spec_path),
+                                     spec_path + "\n"));
+  ASSERT_TRUE(
+      clb::write_file_atomic(clb::tmp_path(spec_path), "{\"name\": \"ti"));
+  ASSERT_TRUE(clb::write_file_atomic(dir + "/notes.txt", "kept\n"));
+
+  srv::ServiceConfig config;
+  config.state_dir = scratch.str();
+  config.orchestrators = 0;
+  srv::Service service(config);
+  EXPECT_FALSE(fs::exists(clb::intent_path(spec_path)));
+  EXPECT_FALSE(fs::exists(clb::tmp_path(spec_path)));
+  EXPECT_TRUE(fs::exists(dir + "/notes.txt"));
+  EXPECT_TRUE(service.list().empty());
+}
+
+TEST(Service, CompleteStatusIsAlreadyInTheLedger) {
+  // A sweep's state and the ledger write change in one critical section:
+  // once status() reports a sweep complete, server.json says so too.
+  // Several pollers keep mu_ busy, which is what would let a reader slip
+  // in between an unguarded state change and the ledger write.
+  ScratchDir scratch("status_ledger");
+  srv::ServiceConfig config;
+  config.state_dir = scratch.str();
+  config.pool_threads = 2;
+  config.orchestrators = 2;
+  srv::Service service(config);
+  const std::string ledger_path = scratch.str() + "/server.json";
+
+  std::vector<std::string> keys;
+  for (int i = 0; i < 24; ++i) {
+    const auto res =
+        service.submit("client" + std::to_string(i), tiny_spec(300 + i), 0);
+    ASSERT_EQ(res.outcome, srv::SubmitOutcome::kAccepted);
+    keys.push_back(res.sweep);
+  }
+  const auto ledger_state = [&ledger_path](const std::string& key) {
+    const auto text = clb::read_file(ledger_path);
+    if (!text) return std::string("unreadable");
+    const clb::JsonValue doc = clb::parse_json(*text);
+    for (const auto& e : doc.at("sweeps").as_array()) {
+      if (e.at("sweep").as_string() == key) return e.at("state").as_string();
+    }
+    return std::string("absent");
+  };
+
+  std::atomic<int> ahead{0};
+  std::vector<std::thread> pollers;
+  for (int p = 0; p < 3; ++p) {
+    pollers.emplace_back([&] {
+      std::vector<bool> seen(keys.size(), false);
+      std::size_t left = keys.size();
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(120);
+      while (left > 0 && std::chrono::steady_clock::now() < deadline) {
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+          if (seen[i]) continue;
+          const auto st = service.status(keys[i]);
+          if (!st || st->state != srv::SweepState::kComplete) continue;
+          if (ledger_state(keys[i]) != "complete") ++ahead;
+          seen[i] = true;
+          --left;
+        }
+      }
+    });
+  }
+  for (auto& th : pollers) th.join();
+  ASSERT_TRUE(service.wait_idle(60000));
+  EXPECT_EQ(ahead.load(), 0);
+  for (const auto& key : keys) EXPECT_EQ(ledger_state(key), "complete");
 }
 
 // Acceptance soak: >= 8 concurrent clients with mixed cold, warm, and

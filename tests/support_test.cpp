@@ -245,7 +245,9 @@ TEST(Math, CeilFloorLog2Agree) {
     const int c = ceil_log2(x);
     const int f = floor_log2(x);
     EXPECT_TRUE(c == f || c == f + 1) << x;
-    if ((x & (x - 1)) == 0) EXPECT_EQ(c, f) << x;  // powers of two
+    if ((x & (x - 1)) == 0) {
+      EXPECT_EQ(c, f) << x;  // powers of two
+    }
   }
 }
 
